@@ -18,11 +18,15 @@
 // at runtime and DELETE /graphs/{name} to drop them.
 //
 // Each -fleet name=source@addr1,addr2,... registers a distributed-backed
-// graph: jobs run over a kmworker fleet instead of a resident cluster,
-// with heartbeat supervision and retry recovery (-fleet-retries,
+// graph under the same /graphs/{name}/ routes: its jobs run over a
+// kmworker fleet instead of a resident cluster, with heartbeat
+// supervision and retry recovery (-fleet-retries,
 // -fleet-heartbeat-timeout), and degrade gracefully — an unhealthy
 // fleet answers 503 with Retry-After instead of hanging, and the
-// kmserve_graph_state gauge tracks fleet health on /metrics.
+// kmserve_graph_state gauge tracks fleet health on /metrics. A fleet
+// serves connectivity (without ?forest=true), MST, info, and trace;
+// spanning-tree, mincut, verify, batch, and the per-graph metrics
+// endpoint answer 501 on fleet graphs.
 //
 // Endpoints (all JSON):
 //
@@ -32,7 +36,7 @@
 //	GET    /graphs
 //	POST   /graphs                              (with -allow-load)
 //	DELETE /graphs/{name}                       (with -allow-load)
-//	GET    /graphs/{name}
+//	GET    /graphs/{name}                       (503 while a fleet is down)
 //	GET    /graphs/{name}/connectivity          ?labels=true&forest=true&timeout=30s
 //	GET    /graphs/{name}/spanning-tree
 //	GET    /graphs/{name}/mst                   ?strong=true&edges=true
@@ -41,16 +45,11 @@
 //	POST   /graphs/{name}/batch                 {"ops":[{"u":0,"v":1}, ...]}
 //	GET    /graphs/{name}/metrics
 //	GET    /graphs/{name}/trace                 (Chrome trace-event JSON)
-//	GET    /fleet
-//	GET    /fleet/{name}                        (503 body when the fleet is down)
-//	GET    /fleet/{name}/connectivity           ?labels=true&timeout=30s
-//	GET    /fleet/{name}/mst                    ?edges=true
 //
 // With -debug-addr, a second private listener serves net/http/pprof
 // under /debug/pprof/. With -log-requests, every request emits one
 // structured JSON log record (request ID, endpoint, status, duration)
-// to stderr; the request ID is echoed as X-Request-Id and threaded
-// through job execution.
+// to stderr; the request ID is echoed as X-Request-Id.
 package main
 
 import (

@@ -63,8 +63,9 @@ const (
 )
 
 // maxOutputItems bounds decoded collection sizes (a worker output for an
-// n-vertex graph never exceeds n entries per collection; the bound only
-// guards against corrupt frames allocating unbounded memory).
+// n-vertex graph never exceeds n entries per collection). checkCount
+// also bounds every count by the bytes left in the frame, so a corrupt
+// count can never allocate more than the frame itself justifies.
 const maxOutputItems = 1 << 28
 
 // AppendOutput encodes one machine's designated output (as produced by
@@ -238,7 +239,8 @@ func checkCount(r *wire.Reader, n int) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n < 0 || n > maxOutputItems {
+	// Every item takes at least one byte on the wire.
+	if n < 0 || n > maxOutputItems || n > r.Len() {
 		return fmt.Errorf("core: output collection size %d out of range", n)
 	}
 	return nil

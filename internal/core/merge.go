@@ -77,23 +77,6 @@ func (st *CompState) Encode(buf []byte) []byte {
 	return buf
 }
 
-// DecodeState parses a CompState produced by Encode.
-func DecodeState(r *wire.Reader) *CompState {
-	st := &CompState{
-		Label:  r.Uvarint(),
-		Cur:    r.Uvarint(),
-		Parent: r.Uvarint(),
-	}
-	st.Holders = append([]byte(nil), r.Bytes()...)
-	st.HasBest = r.Bool()
-	st.BestU = int(r.Uvarint())
-	st.BestV = int(r.Uvarint())
-	st.BestW = r.Varint()
-	st.TargetLabel = r.Uvarint()
-	st.ElimDone = r.Bool()
-	return st
-}
-
 // NewCompState returns a fresh root state for a component label.
 func NewCompState(label uint64, k int) *CompState {
 	return &CompState{Label: label, Cur: label, Parent: label, Holders: make([]byte, (k+7)/8)}

@@ -421,7 +421,9 @@ func readSpans(r *wire.Reader) ([]telemetry.PhaseSpan, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n > maxSpanDecode {
+	// A span is 8 varints, each at least one byte: a count the remaining
+	// bytes cannot hold is corrupt, and must not size an allocation.
+	if n > maxSpanDecode || n > r.Len()/8 {
 		return nil, fmt.Errorf("dist: span batch of %d", n)
 	}
 	spans := make([]telemetry.PhaseSpan, n)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -18,14 +17,15 @@ import (
 	"kmgraph/internal/transport"
 )
 
-// This file is the server's distributed-fleet layer: graphs backed not
-// by a resident in-process cluster but by a kmworker fleet, served with
-// graceful degradation. A health prober keeps a per-fleet state gauge
-// (kmserve_graph_state: 2 healthy, 1 degraded, 0 down); requests
-// against a down fleet are shed immediately with 503 + Retry-After
-// instead of timing out, degraded fleets are attempted under the
-// coordinator's retry-with-respawn policy, and every recovery attempt
-// is visible on GET /metrics (kmgraph_dist_retries_total,
+// This file is the fleet backend: a graph whose jobs run not on a
+// resident in-process cluster but over a kmworker fleet, served as an
+// ordinary tenant under /graphs/{name}/ with graceful degradation. A
+// health prober keeps a per-fleet state gauge (kmserve_graph_state: 2
+// healthy, 1 degraded, 0 down); jobs against a down fleet fail at once
+// with errUnavailable (503 + Retry-After) instead of timing out,
+// degraded fleets are attempted under the coordinator's
+// retry-with-respawn policy, and every recovery attempt is visible on
+// GET /metrics (kmgraph_dist_retries_total,
 // kmgraph_dist_heartbeats_missed_total, kmgraph_dist_recovery_seconds —
 // the dist layer's telemetry lands in this server's registry).
 
@@ -79,22 +79,19 @@ func (sp FleetSpec) withDefaults() FleetSpec {
 	return sp
 }
 
-// fleet is one registered distributed-backed graph.
+// fleet is the backend of one distributed-backed graph. Its source is
+// immutable, so its epoch is always 0 and cached answers never go stale.
 type fleet struct {
 	name  string
 	spec  FleetSpec
-	slots chan struct{}
-	cache *resultCache
-	shed  atomic.Int64
-
 	state atomic.Int64 // fleetDown / fleetDegraded / fleetHealthy
 
-	// trace accumulates the phase spans workers stream back during
-	// fleet jobs; GET /fleet/{name}/trace serves the most recent job's
+	// spans accumulates the phase spans workers stream back during fleet
+	// jobs; GET /graphs/{name}/trace serves the most recent job's
 	// assembled multi-pid Chrome trace. jobRounds holds each worker's
 	// live heartbeat round count during (and after) the most recent job,
 	// surfaced as kmserve_fleet_job_rounds gauges.
-	trace     *dist.JobTrace
+	spans     *dist.JobTrace
 	jobRounds []atomic.Uint64
 
 	mu sync.Mutex
@@ -104,25 +101,10 @@ type fleet struct {
 	probeDone chan struct{}
 }
 
-// coordOptions returns the spec's coordinator tuning with this fleet's
-// trace collector and progress gauges wired in.
-func (f *fleet) coordOptions() dist.CoordOptions {
-	opts := f.spec.Coord
-	opts.Trace = f.trace
-	opts.Progress = func(worker int, rounds uint64) {
-		if worker >= 0 && worker < len(f.jobRounds) {
-			f.jobRounds[worker].Store(rounds)
-		}
-	}
-	return opts
-}
-
-// RegisterFleet adds a distributed-backed graph under name. The health
-// prober starts immediately; Close stops it.
+// RegisterFleet adds a distributed-backed graph under name, in the same
+// name space as Register. The health prober starts immediately; Close
+// (or DELETE) stops it.
 func (s *Server) RegisterFleet(name string, spec FleetSpec) error {
-	if name == "" {
-		return errors.New("server: empty fleet name")
-	}
 	spec = spec.withDefaults()
 	if len(spec.Addrs) == 0 {
 		return fmt.Errorf("server: fleet %q has no workers", name)
@@ -134,75 +116,50 @@ func (s *Server) RegisterFleet(name string, spec FleetSpec) error {
 	f := &fleet{
 		name:      name,
 		spec:      spec,
-		slots:     make(chan struct{}, s.cfg.MaxQueue),
-		cache:     newResultCache(s.cfg.CacheEntries),
-		trace:     &dist.JobTrace{},
+		spans:     &dist.JobTrace{},
 		jobRounds: make([]atomic.Uint64, len(spec.Addrs)),
 		up:        make([]bool, len(spec.Addrs)),
 		stop:      make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
-	s.mu.Lock()
-	if s.fleets == nil {
-		s.fleets = make(map[string]*fleet)
+	f.probeOnce()
+	go f.probeLoop()
+	if _, err := s.register(name, f); err != nil {
+		f.close()
+		return err
 	}
-	if _, dup := s.fleets[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("server: fleet %q already registered", name)
-	}
-	s.fleets[name] = f
-	s.mu.Unlock()
+	return nil
+}
 
-	g := telemetry.Label{Name: "graph", Value: name}
-	s.registry.GaugeFunc("kmserve_graph_state",
+// registerMetrics wires the fleet's health and progress gauges.
+func (f *fleet) registerMetrics(reg *telemetry.Registry, g telemetry.Label) {
+	reg.GaugeFunc("kmserve_graph_state",
 		"Fleet-backed graph health: 2 healthy, 1 degraded, 0 down.",
 		func() float64 { return float64(f.state.Load()) }, g)
-	s.registry.GaugeFunc("kmserve_fleet_workers_up",
+	reg.GaugeFunc("kmserve_fleet_workers_up",
 		"Workers reachable at the last fleet health probe.",
-		func() float64 {
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			n := 0
-			for _, ok := range f.up {
-				if ok {
-					n++
-				}
-			}
-			return float64(n)
-		}, g)
-	s.registry.CounterFunc("kmserve_shed_total",
-		"Requests refused with 429 by the graph's admission queue.",
-		func() float64 { return float64(f.shed.Load()) }, g)
+		func() float64 { return float64(f.workersUp()) }, g)
 	// One gauge per worker: the live engine round count its heartbeats
-	// reported during the most recent fleet job (previously these counts
-	// were decoded and discarded).
-	for i := range spec.Addrs {
+	// reported during the most recent fleet job.
+	for i := range f.spec.Addrs {
 		w := i
-		s.registry.GaugeFunc("kmserve_fleet_job_rounds",
+		reg.GaugeFunc("kmserve_fleet_job_rounds",
 			"Engine round count last reported by each worker's heartbeats during a fleet job.",
 			func() float64 { return float64(f.jobRounds[w].Load()) },
 			g, telemetry.Label{Name: "worker", Value: strconv.Itoa(w)})
 	}
-
-	f.probeOnce()
-	go f.probeLoop()
-	return nil
 }
 
-// closeFleets stops every fleet prober (called from Server.Close).
-func (s *Server) closeFleets() {
-	s.mu.Lock()
-	fs := make([]*fleet, 0, len(s.fleets))
-	for _, f := range s.fleets {
-		fs = append(fs, f) //kmvet:ignore shutdown fan-out; prober close order immaterial
+func (f *fleet) workersUp() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, ok := range f.up {
+		if ok {
+			n++
+		}
 	}
-	s.fleets = nil
-	s.mu.Unlock()
-	for _, f := range fs {
-		close(f.stop)
-		<-f.probeDone
-		s.registry.DropLabeled("graph", f.name)
-	}
+	return n
 }
 
 // probeOnce dials every worker once and folds the result into the
@@ -245,272 +202,98 @@ func (f *fleet) probeLoop() {
 	}
 }
 
-// retryAfter is the Retry-After hint on shed requests: the next probe
-// may flip the fleet back to healthy.
-func (f *fleet) retryAfter() string {
-	return strconv.Itoa(int(f.spec.ProbeInterval/time.Second) + 1)
+// close stops the health prober.
+func (f *fleet) close() error {
+	close(f.stop)
+	<-f.probeDone
+	return nil
 }
 
-// gate sheds requests against a known-down fleet with 503 +
-// Retry-After. Degraded fleets pass: the job runs under the retry
-// policy, which may respawn/re-dial its way to a full mesh.
-func (f *fleet) gate(w http.ResponseWriter) bool {
+// run runs one coordinator job against the fleet. A known-down fleet is
+// refused without dialing; degraded fleets pass, since the retry policy
+// may respawn or re-dial its way to a full mesh. A link-down (worker
+// lost, retries exhausted) also triggers an immediate re-probe, so the
+// state gauge reflects the loss before the next scheduled probe. Both
+// come back as errUnavailable, carrying the Retry-After hint: the next
+// probe may find the fleet healthy again.
+func (f *fleet) run(job func(dist.CoordOptions) error) error {
+	retryAfter := strconv.Itoa(int(f.spec.ProbeInterval/time.Second) + 1)
 	if f.state.Load() == fleetDown {
-		w.Header().Set("Retry-After", f.retryAfter())
-		writeError(w, http.StatusServiceUnavailable,
-			"fleet %q unavailable (0/%d workers reachable)", f.name, len(f.spec.Addrs))
-		return false
+		return &errUnavailable{retryAfter: retryAfter,
+			err: fmt.Errorf("fleet %q unavailable (0/%d workers reachable)", f.name, len(f.spec.Addrs))}
 	}
-	return true
-}
-
-// admit claims an admission slot, or writes 429 + Retry-After.
-func (f *fleet) admit(w http.ResponseWriter) bool {
-	select {
-	case f.slots <- struct{}{}:
-		return true
-	default:
-		f.shed.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "fleet %q admission queue full", f.name)
-		return false
+	opts := f.spec.Coord
+	opts.Trace = f.spans
+	opts.Progress = func(worker int, rounds uint64) {
+		// A worker beats 0 before its engine starts and after it
+		// finishes; that is no count, so keep the last real one.
+		if rounds > 0 && worker >= 0 && worker < len(f.jobRounds) {
+			f.jobRounds[worker].Store(rounds)
+		}
 	}
-}
-
-func (f *fleet) release() { <-f.slots }
-
-// jobError maps a fleet job failure: a link-down (worker lost, retries
-// exhausted) is a degraded-service 503 with Retry-After — the fleet may
-// come back — anything else follows the standard job mapping. A
-// link-down also triggers an immediate re-probe so the state gauge
-// reflects the loss before the next scheduled probe.
-func (f *fleet) jobError(w http.ResponseWriter, err error) {
+	err := job(opts)
 	if errors.Is(err, transport.ErrLinkDown) {
 		go f.probeOnce()
-		w.Header().Set("Retry-After", f.retryAfter())
-		writeError(w, http.StatusServiceUnavailable, "fleet %q degraded: %v", f.name, err)
-		return
+		return &errUnavailable{retryAfter: retryAfter, err: fmt.Errorf("fleet %q degraded: %w", f.name, err)}
 	}
-	jobError(w, err)
+	return err
 }
 
-// fleet resolves {name}; a miss writes 404 and returns nil.
-func (s *Server) fleet(w http.ResponseWriter, r *http.Request) *fleet {
-	name := r.PathValue("name")
-	s.mu.RLock()
-	f := s.fleets[name]
-	s.mu.RUnlock()
-	if f == nil {
-		writeError(w, http.StatusNotFound, "unknown fleet %q", name)
+func (f *fleet) connectivity(ctx context.Context) (connectivityResponse, error) {
+	var res *core.Result
+	err := f.run(func(opts dist.CoordOptions) (err error) {
+		res, err = dist.RunConnectivityOpts(ctx, f.spec.Addrs, f.spec.Source, f.spec.Conn, opts)
+		return err
+	})
+	if err != nil {
+		return connectivityResponse{}, err
 	}
-	return f
+	return connectivityResponse{
+		Components:     res.Components,
+		Phases:         res.Phases,
+		Rounds:         res.Metrics.Rounds,
+		SketchFailures: res.SketchFailures,
+		Labels:         res.Labels,
+	}, nil
 }
 
-// fleetRoutes registers the fleet endpoints (called from routes).
-func (s *Server) fleetRoutes() {
-	s.handle("GET /fleet", "fleet_list", s.handleFleetList)
-	s.handle("GET /fleet/{name}", "fleet_info", s.handleFleetInfo)
-	s.handle("GET /fleet/{name}/trace", "fleet_trace", s.handleFleetTrace)
-	for _, m := range []string{"GET", "POST"} {
-		s.handle(m+" /fleet/{name}/connectivity", "fleet_connectivity", s.handleFleetConnectivity)
-		s.handle(m+" /fleet/{name}/mst", "fleet_mst", s.handleFleetMST)
+func (f *fleet) mst(ctx context.Context, strong bool) (mstResponse, error) {
+	var res *core.MSTResult
+	err := f.run(func(opts dist.CoordOptions) (err error) {
+		cfg := core.MSTConfig{Config: f.spec.Conn, StrongOutput: strong}
+		res, err = dist.RunMSTOpts(ctx, f.spec.Addrs, f.spec.Source, cfg, opts)
+		return err
+	})
+	if err != nil {
+		return mstResponse{}, err
 	}
+	return newMSTResponse(res, 0), nil
 }
 
-// fleetWorker is one worker's registry entry.
-type fleetWorker struct {
-	Addr string `json:"addr"`
-	Up   bool   `json:"up"`
-}
+func (f *fleet) epoch() uint64 { return 0 }
 
-// fleetInfo is one fleet's registry entry.
-type fleetInfo struct {
-	Name    string        `json:"name"`
-	Source  string        `json:"source"`
-	K       int           `json:"k"`
-	State   string        `json:"state"`
-	Workers []fleetWorker `json:"workers"`
-}
-
-func (f *fleet) info() fleetInfo {
+func (f *fleet) info() graphInfo {
+	workers := make(map[string]bool, len(f.spec.Addrs))
 	f.mu.Lock()
-	up := append([]bool(nil), f.up...)
-	f.mu.Unlock()
-	ws := make([]fleetWorker, len(f.spec.Addrs))
 	for i, a := range f.spec.Addrs {
-		ws[i] = fleetWorker{Addr: a, Up: up[i]}
+		workers[a] = f.up[i]
 	}
-	return fleetInfo{
-		Name:    f.name,
-		Source:  f.spec.Source,
+	f.mu.Unlock()
+	return graphInfo{
 		K:       f.spec.Conn.K,
+		Source:  f.spec.Source,
 		State:   fleetStateName(f.state.Load()),
-		Workers: ws,
+		Workers: workers,
 	}
 }
 
-func (s *Server) handleFleetList(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	infos := make([]fleetInfo, 0, len(s.fleets))
-	for _, f := range s.fleets {
-		infos = append(infos, f.info())
-	}
-	s.mu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, map[string]any{"fleets": infos})
-}
-
-// handleFleetTrace serves the most recent fleet job's assembled
-// cross-process trace (one Chrome-trace pid per worker, built from the
-// phase spans workers streamed back on their control connections).
-// Before any job has run — or when no job carried a trace ID — the
-// trace is empty and the X-Kmserve-Trace-Id header reads 0. Concurrent
-// fleet jobs share the collector; the trace reflects whichever job
-// reset it last.
-func (s *Server) handleFleetTrace(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	w.Header().Set("X-Kmserve-Trace-Id", fmt.Sprintf("%016x", f.trace.TraceID()))
-	writeJSON(w, http.StatusOK, f.trace.Assemble())
-}
-
-func (s *Server) handleFleetInfo(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	info := f.info()
-	status := http.StatusOK
-	if f.state.Load() == fleetDown {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, info)
-}
-
-// fleetConnectivityResponse answers fleet connectivity requests. Fleet
-// sources are immutable (no batch endpoint), so results cache forever.
-type fleetConnectivityResponse struct {
-	Graph          string   `json:"graph"`
-	Components     int      `json:"components"`
-	Phases         int      `json:"phases"`
-	Rounds         int      `json:"rounds"`
-	SketchFailures int64    `json:"sketch_failures"`
-	Cached         bool     `json:"cached"`
-	Labels         []uint64 `json:"labels,omitempty"`
-}
-
-func (c fleetConnectivityResponse) hit() any { c.Cached = true; return c }
-
-func (s *Server) handleFleetConnectivity(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	labels := boolParam(r, "labels")
-	shape := func(v any) any {
-		c := v.(fleetConnectivityResponse)
-		if !labels {
-			c.Labels = nil
-		}
-		return c
-	}
-	s.runFleet(w, r, f, "connectivity", shape, func(ctx context.Context) (hitMarker, error) {
-		res, err := dist.RunConnectivityOpts(ctx, f.spec.Addrs, f.spec.Source, f.spec.Conn, f.coordOptions())
-		if err != nil {
-			return nil, err
-		}
-		return fleetConnectivityResponse{
-			Graph:          f.name,
-			Components:     res.Components,
-			Phases:         res.Phases,
-			Rounds:         res.Metrics.Rounds,
-			SketchFailures: res.SketchFailures,
-			Labels:         res.Labels,
-		}, nil
-	})
-}
-
-// fleetMSTResponse answers fleet MST requests.
-type fleetMSTResponse struct {
-	Graph       string     `json:"graph"`
-	TotalWeight int64      `json:"total_weight"`
-	EdgeCount   int        `json:"edge_count"`
-	Phases      int        `json:"phases"`
-	Rounds      int        `json:"rounds"`
-	Cached      bool       `json:"cached"`
-	Edges       []jsonEdge `json:"edges,omitempty"`
-}
-
-func (m fleetMSTResponse) hit() any { m.Cached = true; return m }
-
-func (s *Server) handleFleetMST(w http.ResponseWriter, r *http.Request) {
-	f := s.fleet(w, r)
-	if f == nil {
-		return
-	}
-	edges := boolParam(r, "edges")
-	shape := func(v any) any {
-		m := v.(fleetMSTResponse)
-		if !edges {
-			m.Edges = nil
-		}
-		return m
-	}
-	s.runFleet(w, r, f, "mst", shape, func(ctx context.Context) (hitMarker, error) {
-		cfg := core.MSTConfig{Config: f.spec.Conn}
-		res, err := dist.RunMSTOpts(ctx, f.spec.Addrs, f.spec.Source, cfg, f.coordOptions())
-		if err != nil {
-			return nil, err
-		}
-		out := make([]jsonEdge, len(res.Edges))
-		for i, e := range res.Edges {
-			out[i] = jsonEdge{U: e.U, V: e.V, W: e.W}
-		}
-		return fleetMSTResponse{
-			Graph:       f.name,
-			TotalWeight: res.TotalWeight,
-			EdgeCount:   len(res.Edges),
-			Phases:      res.Phases,
-			Rounds:      res.Metrics.Rounds,
-			Edges:       out,
-		}, nil
-	})
-}
-
-// runFleet is the shared protocol around a fleet job: health gate,
-// cache lookup (fleet graphs are immutable, so the epoch is always 0),
-// admission, run under the request deadline, degradation-aware error
-// mapping.
-func (s *Server) runFleet(w http.ResponseWriter, r *http.Request, f *fleet, job string,
-	shape func(any) any, run func(ctx context.Context) (hitMarker, error)) {
-	timeout, err := s.parseTimeout(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := cacheKey{epoch: 0, job: job, args: ""}
-	if v, ok := f.cache.get(key); ok {
-		w.Header().Set("X-Kmserve-Cache", "hit")
-		writeJSON(w, http.StatusOK, shape(v.(hitMarker).hit()))
-		return
-	}
-	if !f.gate(w) {
-		return
-	}
-	if !f.admit(w) {
-		return
-	}
-	defer f.release()
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	resp, err := run(ctx)
-	if err != nil {
-		f.jobError(w, err)
-		return
-	}
-	f.cache.put(key, resp)
-	w.Header().Set("X-Kmserve-Cache", "miss")
-	writeJSON(w, http.StatusOK, shape(resp))
+// trace returns the most recent fleet job's assembled cross-process
+// trace (one Chrome-trace pid per worker, built from the phase spans
+// workers streamed back on their control connections). Before any job
+// has run — or when no job carried a trace ID — the trace is empty and
+// the X-Kmserve-Trace-Id header reads 0. Concurrent fleet jobs share the
+// collector; the trace reflects whichever job reset it last.
+func (f *fleet) trace(h http.Header) any {
+	h.Set("X-Kmserve-Trace-Id", fmt.Sprintf("%016x", f.spans.TraceID()))
+	return f.spans.Assemble()
 }

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"kmgraph"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/graph"
@@ -79,7 +84,7 @@ func TestFleetConnectivityMatchesLocal(t *testing.T) {
 		Rounds     int    `json:"rounds"`
 		Cached     bool   `json:"cached"`
 	}
-	resp := getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	resp := getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Components != golden.Components {
 		t.Errorf("components = %d, want %d", out.Components, golden.Components)
 	}
@@ -91,13 +96,13 @@ func TestFleetConnectivityMatchesLocal(t *testing.T) {
 	}
 
 	// Fleet graphs are immutable: the second request must be a hit.
-	resp = getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	resp = getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if !out.Cached || resp.Header.Get("X-Kmserve-Cache") != "hit" {
 		t.Errorf("second request: cached=%v header=%q, want cache hit", out.Cached, resp.Header.Get("X-Kmserve-Cache"))
 	}
 
-	var info fleetInfo
-	getJSON(t, ts.URL+"/fleet/web", http.StatusOK, &info)
+	var info graphInfo
+	getJSON(t, ts.URL+"/graphs/web", http.StatusOK, &info)
 	if info.State != "healthy" || len(info.Workers) != 2 {
 		t.Errorf("info = %+v, want healthy with 2 workers", info)
 	}
@@ -128,7 +133,7 @@ func TestFleetDownSheds503(t *testing.T) {
 		s.Close()
 	})
 
-	resp, err := http.Get(ts.URL + "/fleet/ghost/connectivity")
+	resp, err := http.Get(ts.URL + "/graphs/ghost/connectivity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +145,8 @@ func TestFleetDownSheds503(t *testing.T) {
 		t.Error("503 without Retry-After header")
 	}
 
-	var info fleetInfo
-	getJSON(t, ts.URL+"/fleet/ghost", http.StatusServiceUnavailable, &info)
+	var info graphInfo
+	getJSON(t, ts.URL+"/graphs/ghost", http.StatusServiceUnavailable, &info)
 	if info.State != "down" {
 		t.Errorf("state = %q, want down", info.State)
 	}
@@ -211,7 +216,7 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 	// Lose a worker: the job fails link-down after its retry budget and
 	// the endpoint degrades to 503 + Retry-After.
 	w1.Close()
-	resp, err := http.Get(ts.URL + "/fleet/web/connectivity")
+	resp, err := http.Get(ts.URL + "/graphs/web/connectivity")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +245,7 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 		Components int `json:"components"`
 		Rounds     int `json:"rounds"`
 	}
-	getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Components != golden.Components || out.Rounds != golden.Metrics.Rounds {
 		t.Errorf("recovered result = %d components / %d rounds, want %d / %d",
 			out.Components, out.Rounds, golden.Components, golden.Metrics.Rounds)
@@ -250,7 +255,7 @@ func TestFleetDegradesAndRecovers(t *testing.T) {
 // TestFleetTraceAndRoundGauges pins the fleet observability wiring: a
 // fleet job feeds the per-worker round gauges (previously the heartbeat
 // round counts were decoded and discarded) and leaves an assembled
-// cross-process trace behind GET /fleet/{name}/trace with one pid per
+// cross-process trace behind GET /graphs/{name}/trace with one pid per
 // worker whose span round sums telescope to the job's merged rounds.
 func TestFleetTraceAndRoundGauges(t *testing.T) {
 	_, ts, golden := newFleetServer(t, "web", 2)
@@ -258,7 +263,7 @@ func TestFleetTraceAndRoundGauges(t *testing.T) {
 	var out struct {
 		Rounds int `json:"rounds"`
 	}
-	getJSON(t, ts.URL+"/fleet/web/connectivity", http.StatusOK, &out)
+	getJSON(t, ts.URL+"/graphs/web/connectivity", http.StatusOK, &out)
 	if out.Rounds != golden.Metrics.Rounds {
 		t.Fatalf("rounds = %d, want %d", out.Rounds, golden.Metrics.Rounds)
 	}
@@ -270,7 +275,7 @@ func TestFleetTraceAndRoundGauges(t *testing.T) {
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
-	resp := getJSON(t, ts.URL+"/fleet/web/trace", http.StatusOK, &trace)
+	resp := getJSON(t, ts.URL+"/graphs/web/trace", http.StatusOK, &trace)
 	if id := resp.Header.Get("X-Kmserve-Trace-Id"); id == "" || id == strings.Repeat("0", 16) {
 		t.Errorf("trace id header = %q, want a minted id", id)
 	}
@@ -299,5 +304,123 @@ func TestFleetTraceAndRoundGauges(t *testing.T) {
 		if v := sampleValue(t, body, sample); v <= 0 {
 			t.Errorf("%s = %v, want > 0 after a fleet job", sample, v)
 		}
+	}
+}
+
+// TestFleetRoundGaugeIgnoresIdleBeats pins the round gauge against the
+// heartbeats a worker sends outside its engine's run (round count 0):
+// one landing after the engine finished must not erase the job's count.
+func TestFleetRoundGaugeIgnoresIdleBeats(t *testing.T) {
+	f := &fleet{spec: FleetSpec{Addrs: []string{"w0"}}.withDefaults(), jobRounds: make([]atomic.Uint64, 1)}
+	f.state.Store(fleetHealthy)
+	f.run(func(opts dist.CoordOptions) error {
+		for _, rounds := range []uint64{0, 17, 42, 0} {
+			opts.Progress(0, rounds)
+		}
+		return nil
+	})
+	if got := f.jobRounds[0].Load(); got != 42 {
+		t.Errorf("round gauge = %d after beats 0, 17, 42, 0; want 42", got)
+	}
+}
+
+// TestFleetGraphIsATenant pins that a fleet-backed graph is served as an
+// ordinary tenant: identical concurrent misses coalesce behind one fleet
+// job, every resident-only family answers 501 with a JSON error, GET
+// /graphs lists fleet and resident graphs together, and the two
+// backends share one name space.
+func TestFleetGraphIsATenant(t *testing.T) {
+	s, ts, golden := newFleetServer(t, "web", 2)
+	local, err := kmgraph.NewCluster(kmgraph.GNM(100, 300, 1), kmgraph.WithK(2), kmgraph.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register("local", local); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+
+	// A cold herd on the fleet graph: every response is the golden
+	// answer, and followers waited on the leader instead of each
+	// running a fleet job.
+	const herd = 4
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	got := make([]connectivityResponse, herd)
+	errs := make([]error, herd)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Get(ts.URL + "/graphs/web/connectivity")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&got[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		if errs[i] != nil {
+			t.Errorf("request %d: %v", i, errs[i])
+		} else if c.Components != golden.Components || c.Rounds != golden.Metrics.Rounds {
+			t.Errorf("request %d: %d components / %d rounds, want %d / %d",
+				i, c.Components, c.Rounds, golden.Components, golden.Metrics.Rounds)
+		}
+	}
+	if v := sampleValue(t, scrape(t, ts.URL), `kmserve_cache_coalesced_total{graph="web"}`); v < 1 {
+		t.Errorf("kmserve_cache_coalesced_total = %v, want >= 1", v)
+	}
+
+	for _, tc := range []struct{ method, path, body string }{
+		{"GET", "/spanning-tree", ""},
+		{"GET", "/connectivity?forest=true", ""},
+		{"GET", "/mincut", ""},
+		{"POST", "/verify", `{"problem":"cycle"}`},
+		{"POST", "/batch", `{"ops":[{"u":0,"v":1}]}`},
+		{"GET", "/metrics", ""},
+	} {
+		t.Run(tc.method+tc.path, func(t *testing.T) {
+			req, _ := http.NewRequest(tc.method, ts.URL+"/graphs/web"+tc.path, strings.NewReader(tc.body))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var e errorResponse
+			if resp.StatusCode != http.StatusNotImplemented || json.Unmarshal(body, &e) != nil || e.Error == "" {
+				t.Errorf("status %d body %s, want 501 with a JSON error", resp.StatusCode, body)
+			}
+		})
+	}
+
+	var list struct {
+		Graphs []graphInfo `json:"graphs"`
+	}
+	getJSON(t, ts.URL+"/graphs", http.StatusOK, &list)
+	if len(list.Graphs) != 2 || list.Graphs[0].Name != "local" || list.Graphs[0].N != 100 ||
+		list.Graphs[1].Name != "web" || list.Graphs[1].State != "healthy" {
+		t.Errorf("graphs list = %+v, want local (n=100) and healthy web", list.Graphs)
+	}
+
+	dup, err := kmgraph.NewCluster(kmgraph.GNM(100, 300, 1), kmgraph.WithK(2), kmgraph.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dup.Close()
+	if err := s.Register("web", dup); err == nil {
+		t.Error("Register over a fleet graph's name succeeded")
+	}
+	spec := FleetSpec{Source: "gnm:100:300:1", Addrs: []string{"127.0.0.1:1"}, Conn: core.Config{K: 2}}
+	if err := s.RegisterFleet("local", spec); err == nil {
+		t.Error("RegisterFleet over a resident graph's name succeeded")
 	}
 }

@@ -1,10 +1,15 @@
 // Package server is the network serving layer: an HTTP/JSON front end
-// hosting a registry of named resident Clusters and exposing every job
-// family — connectivity, spanning-tree, MST, approximate min-cut, the
-// Theorem 4 verifications, dynamic edge batches, and metrics — as
-// endpoints over the cancellable-job API.
+// hosting a registry of named graphs and exposing every job family —
+// connectivity, spanning-tree, MST, approximate min-cut, the Theorem 4
+// verifications, dynamic edge batches, and metrics — as endpoints over
+// the cancellable-job API.
 //
-// Three serving concerns layer over the resident engine:
+// A graph runs on one of two backends behind the same /graphs/{name}/
+// routes: a resident in-process Cluster (Register), which serves every
+// family, or a kmworker fleet (RegisterFleet), which serves
+// connectivity and MST and answers 501 for the rest.
+//
+// Three serving concerns layer over every backend:
 //
 //   - Admission and backpressure: each graph has a bounded admission
 //     queue (Config.MaxQueue) layered over the engine's one-job
@@ -67,8 +72,7 @@ type Config struct {
 	// Logger, when non-nil, receives one structured record per request:
 	// request ID, method, path, status, duration, and cache disposition.
 	// The request ID (client-provided X-Request-Id or minted) is echoed
-	// on the response and threaded through the request context into
-	// every job the request runs.
+	// on the response.
 	Logger *slog.Logger
 }
 
@@ -104,7 +108,6 @@ type Server struct {
 
 	mu     sync.RWMutex
 	graphs map[string]*tenant
-	fleets map[string]*fleet
 
 	// obs maps graph name -> observer funnel; populated by JobObserver
 	// (possibly before the cluster exists) and consulted by Register.
@@ -112,11 +115,11 @@ type Server struct {
 	obs   map[string]*graphObs
 }
 
-// tenant is one hosted graph: the resident cluster, its bounded
+// tenant is one hosted graph: the backend its jobs run on, its bounded
 // admission queue, and its epoch-keyed result cache.
 type tenant struct {
 	name   string
-	c      *kmgraph.Cluster
+	b      backend
 	slots  chan struct{}
 	cache  *resultCache
 	flight flightGroup
@@ -156,17 +159,87 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// backend is where a graph's jobs run: a resident cluster or a kmworker
+// fleet. It holds only what both serve — connectivity, MST, the epoch
+// the result cache keys on, the registry entry, the trace, backend
+// metrics, and shutdown. The resident-only job families reach the
+// cluster through Server.resident instead.
+type backend interface {
+	connectivity(ctx context.Context) (connectivityResponse, error)
+	mst(ctx context.Context, strong bool) (mstResponse, error)
+	epoch() uint64
+	info() graphInfo
+	// trace sets the trace headers on h and returns the trace JSON body.
+	trace(h http.Header) any
+	registerMetrics(reg *telemetry.Registry, g telemetry.Label)
+	close() error
+}
+
+// residentBackend runs a graph's jobs on an in-process resident
+// cluster; tracer is the graph's observer trace buffer.
+type residentBackend struct {
+	c      *kmgraph.Cluster
+	tracer *telemetry.JobTracer
+}
+
+func (b *residentBackend) connectivity(ctx context.Context) (connectivityResponse, error) {
+	q, err := b.c.Connectivity(ctx)
+	if err != nil {
+		return connectivityResponse{}, err
+	}
+	return connectivityResponse{
+		Epoch:             q.Epoch,
+		Components:        q.Components,
+		Phases:            q.Phases,
+		Rounds:            q.Rounds,
+		SketchFailures:    q.SketchFailures,
+		RelabeledVertices: q.RelabeledVertices,
+		Labels:            q.Labels,
+		Forest:            toJSONEdges(q.Forest),
+	}, nil
+}
+
+func (b *residentBackend) mst(ctx context.Context, strong bool) (mstResponse, error) {
+	var opts []kmgraph.MSTOption
+	if strong {
+		opts = append(opts, kmgraph.StrongOutput())
+	}
+	res, err := b.c.MST(ctx, opts...)
+	if err != nil {
+		return mstResponse{}, err
+	}
+	return newMSTResponse(res, b.c.Epoch()), nil
+}
+
+func (b *residentBackend) epoch() uint64 { return b.c.Epoch() }
+
+func (b *residentBackend) info() graphInfo {
+	met := b.c.Metrics()
+	queued, running := b.c.Queue()
+	return graphInfo{
+		N:       b.c.N(),
+		Edges:   met.Edges,
+		K:       b.c.K(),
+		Epoch:   met.Epoch,
+		Jobs:    met.Jobs,
+		Queued:  queued,
+		Running: running,
+	}
+}
+
+func (b *residentBackend) close() error { return b.c.Close() }
+
 // Register adds a loaded cluster under name. The server owns the
 // cluster from here on (Close/DELETE will close it).
 func (s *Server) Register(name string, c *kmgraph.Cluster) error {
-	_, err := s.register(name, c)
+	_, err := s.register(name, &residentBackend{c: c, tracer: s.obsFor(name).tracer})
 	return err
 }
 
-// register adds the cluster and returns its tenant, so in-process
+// register adds the backend and returns its tenant, so in-process
 // callers (handleLoad) need no post-registration lookup that could race
-// a concurrent DELETE.
-func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
+// a concurrent DELETE. Resident and fleet graphs share one name space.
+func (s *Server) register(name string, b backend) (*tenant, error) {
 	if name == "" {
 		return nil, errors.New("server: empty graph name")
 	}
@@ -177,7 +250,7 @@ func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
 	}
 	t := &tenant{
 		name:  name,
-		c:     c,
+		b:     b,
 		slots: make(chan struct{}, s.cfg.MaxQueue),
 		cache: newResultCache(s.cfg.CacheEntries),
 	}
@@ -186,10 +259,9 @@ func (s *Server) register(name string, c *kmgraph.Cluster) (*tenant, error) {
 	return t, nil
 }
 
-// Close closes every hosted cluster (waiting for in-flight jobs) and
-// stops every fleet prober.
+// Close closes every hosted graph's backend: resident clusters wait for
+// their in-flight jobs, fleets stop their health probers.
 func (s *Server) Close() error {
-	s.closeFleets()
 	s.mu.Lock()
 	ts := make([]*tenant, 0, len(s.graphs))
 	for _, t := range s.graphs {
@@ -199,7 +271,7 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	var err error
 	for _, t := range ts {
-		if cerr := t.c.Close(); err == nil {
+		if cerr := t.b.close(); err == nil {
 			err = cerr
 		}
 		s.registry.DropLabeled("graph", t.name)
@@ -227,7 +299,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 // streaming handlers (SSE) can flush through the instrumentation.
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
-// ServeHTTP instruments every request: request-ID threading, in-flight
+// ServeHTTP instruments every request: request-ID echo, in-flight
 // gauge, per-endpoint latency histogram and status-labeled counter, and
 // (when Config.Logger is set) one structured log record per request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +309,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = newRequestID()
 	}
 	w.Header().Set("X-Request-Id", rid)
-	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	s.inflight.Add(1)
 	s.mux.ServeHTTP(sw, r)
@@ -298,7 +369,6 @@ func (s *Server) routes() {
 	}
 	s.handle("POST /graphs/{name}/verify", "verify", s.handleVerify)
 	s.handle("POST /graphs/{name}/batch", "batch", s.handleBatch)
-	s.fleetRoutes()
 }
 
 // ---- plumbing ----------------------------------------------------------
@@ -319,9 +389,44 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps every request body (POST /graphs, /verify, /batch):
+// a larger body is refused with 413 rather than buffered.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes r's JSON body, capped at maxBodyBytes, into v. On
+// failure it writes 413 (body too large) or 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
+// errUnavailable is a job its backend cannot serve right now (a fleet
+// that is down, or that lost a worker past its retry budget); jobError
+// answers it with 503 and the backend's Retry-After hint.
+type errUnavailable struct {
+	retryAfter string
+	err        error
+}
+
+func (e *errUnavailable) Error() string { return e.err.Error() }
+func (e *errUnavailable) Unwrap() error { return e.err }
+
 // jobError maps a job error to an HTTP status.
 func jobError(w http.ResponseWriter, err error) {
+	var unavailable *errUnavailable
 	switch {
+	case errors.As(err, &unavailable):
+		w.Header().Set("Retry-After", unavailable.retryAfter)
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "job deadline exceeded: %v", err)
 	case errors.Is(err, context.Canceled):
@@ -347,6 +452,24 @@ func (s *Server) tenant(w http.ResponseWriter, r *http.Request) *tenant {
 	return t
 }
 
+// resident resolves {name} to a graph on a resident cluster, for the job
+// families only a resident cluster serves (spanning forests, min-cut,
+// verification, batches, engine metrics). A miss writes 404, a graph on
+// another backend 501; both return a nil cluster.
+func (s *Server) resident(w http.ResponseWriter, r *http.Request) (*tenant, *kmgraph.Cluster) {
+	t := s.tenant(w, r)
+	if t == nil {
+		return nil, nil
+	}
+	rb, ok := t.b.(*residentBackend)
+	if !ok {
+		writeError(w, http.StatusNotImplemented,
+			"%s: graph %q runs on a worker fleet, which serves only connectivity and MST", r.URL.Path, t.name)
+		return nil, nil
+	}
+	return t, rb.c
+}
+
 // admit claims an admission slot, or writes 429 + Retry-After and
 // returns false. The caller must release() after the job.
 func (t *tenant) admit(w http.ResponseWriter) bool {
@@ -355,10 +478,9 @@ func (t *tenant) admit(w http.ResponseWriter) bool {
 		return true
 	default:
 		t.shed.Add(1)
-		queued, running := t.c.Queue()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
-			"graph %q admission queue full (%d queued, %d running)", t.name, queued, running)
+			"graph %q admission queue full (%d slots)", t.name, cap(t.slots))
 		return false
 	}
 }
@@ -439,31 +561,28 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "graphs": n})
 }
 
-// graphInfo is one graph's registry entry.
+// graphInfo is one graph's registry entry. The engine counters (n
+// through running) are a resident cluster's and read 0 on a fleet,
+// which reports its source, health state, and per-worker reachability
+// at the last probe instead.
 type graphInfo struct {
-	Name    string `json:"name"`
-	N       int    `json:"n"`
-	Edges   int    `json:"edges"`
-	K       int    `json:"k"`
-	Epoch   uint64 `json:"epoch"`
-	Jobs    int    `json:"jobs"`
-	Queued  int    `json:"queued"`
-	Running int    `json:"running"`
+	Name    string          `json:"name"`
+	N       int             `json:"n"`
+	Edges   int             `json:"edges"`
+	K       int             `json:"k"`
+	Epoch   uint64          `json:"epoch"`
+	Jobs    int             `json:"jobs"`
+	Queued  int             `json:"queued"`
+	Running int             `json:"running"`
+	Source  string          `json:"source,omitempty"`
+	State   string          `json:"state,omitempty"`
+	Workers map[string]bool `json:"workers,omitempty"`
 }
 
 func (t *tenant) info() graphInfo {
-	met := t.c.Metrics()
-	queued, running := t.c.Queue()
-	return graphInfo{
-		Name:    t.name,
-		N:       t.c.N(),
-		Edges:   met.Edges,
-		K:       t.c.K(),
-		Epoch:   met.Epoch,
-		Jobs:    met.Jobs,
-		Queued:  queued,
-		Running: running,
-	}
+	info := t.b.info()
+	info.Name = t.name
+	return info
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -477,12 +596,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"graphs": infos})
 }
 
+// handleInfo answers a graph's registry entry, with 503 while its
+// backend reports it down.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(w, r)
 	if t == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, t.info())
+	info := t.info()
+	status := http.StatusOK
+	if info.State == fleetStateName(fleetDown) {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, info)
 }
 
 // loadRequest is the POST /graphs body: load a kmgs store or text edge
@@ -503,8 +629,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -543,7 +668,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "loading %q: %v", req.Path, err)
 		return
 	}
-	t, err := s.register(req.Name, c)
+	t, err := s.register(req.Name, &residentBackend{c: c, tracer: s.obsFor(req.Name).tracer})
 	if err != nil {
 		c.Close()
 		writeError(w, http.StatusConflict, "%v", err)
@@ -568,7 +693,7 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.registry.DropLabeled("graph", name)
 	s.dropObs(name)
-	if err := t.c.Close(); err != nil {
+	if err := t.b.close(); err != nil {
 		writeError(w, http.StatusInternalServerError, "close: %v", err)
 		return
 	}
@@ -581,12 +706,12 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 // returns a copy marked as served from cache.
 type hitMarker interface{ hit() any }
 
-// runCached is the shared protocol around every cacheable job: validate
-// the timeout (before the cache lookup, so malformed requests fail even
-// when an answer is cached), look up (admission-time epoch, job, args),
-// and on a miss admit, run, and store the result — but only when it
-// provably ran at the looked-up epoch, so a batch that slipped in while
-// the job was queued can never poison the old key.
+// runCached is the shared protocol around every cacheable job on every
+// backend: validate the timeout (before the cache lookup, so malformed
+// requests fail even when an answer is cached), look up (admission-time
+// epoch, job, args), and on a miss admit, run, and store the result —
+// but only when it provably ran at the looked-up epoch, so a batch that
+// slipped in while the job was queued can never poison the old key.
 //
 // One deadline covers the whole request — waiting on a coalesced
 // leader, queueing, and running — so a follower that outlives its
@@ -596,14 +721,15 @@ type hitMarker interface{ hit() any }
 // the engine reports it (connectivity and batches carry it on their
 // results), otherwise the caller's freshest post-job re-read — for
 // read-only jobs a re-read equal to the admission-time key proves the
-// run epoch, and an unequal one is reported but never cached.
+// run epoch, and an unequal one is reported but never cached. A fleet's
+// source is immutable, so its epoch is always 0 and every answer caches.
 //
 // shape, when non-nil, trims a full cached/computed response down to
 // what this particular request asked for (connectivity's labels/forest
 // flags); the cache always stores the untrimmed value.
 func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, job, args string,
 	shape func(any) any,
-	run func(ctx context.Context, epoch uint64) (hitMarker, uint64, error)) {
+	run func(ctx context.Context) (hitMarker, uint64, error)) {
 	timeout, err := s.parseTimeout(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -614,7 +740,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, jo
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	key := cacheKey{epoch: t.c.Epoch(), job: job, args: args}
+	key := cacheKey{epoch: t.b.epoch(), job: job, args: args}
 	if v, ok := t.cache.get(key); ok {
 		w.Header().Set("X-Kmserve-Cache", "hit")
 		writeJSON(w, http.StatusOK, shape(v.(hitMarker).hit()))
@@ -656,7 +782,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, t *tenant, jo
 		return
 	}
 	defer t.release()
-	resp, runEpoch, err := run(ctx, key.epoch)
+	resp, runEpoch, err := run(ctx)
 	if err != nil {
 		jobError(w, err)
 		return
@@ -687,23 +813,25 @@ type connectivityResponse struct {
 func (c connectivityResponse) hit() any { c.Cached = true; return c }
 
 // handleConnectivity serves connectivity; with forest=true (the
-// spanning-tree endpoint's default) the response carries the forest,
-// with labels=true the per-vertex labels. Results are cached per epoch;
-// a cached response reports the rounds the original computation cost
-// but consumes zero new simulation rounds.
+// spanning-tree endpoint's default, resident graphs only) the response
+// carries the forest, with labels=true the per-vertex labels. Results
+// are cached per epoch; a cached response reports the rounds the
+// original computation cost but consumes zero new simulation rounds.
 func (s *Server) handleConnectivity(w http.ResponseWriter, r *http.Request) {
-	s.serveConnectivity(w, r, boolParam(r, "forest"))
+	if boolParam(r, "forest") {
+		s.handleSpanningTree(w, r)
+	} else if t := s.tenant(w, r); t != nil {
+		s.serveConnectivity(w, r, t, false)
+	}
 }
 
 func (s *Server) handleSpanningTree(w http.ResponseWriter, r *http.Request) {
-	s.serveConnectivity(w, r, true)
+	if t, c := s.resident(w, r); c != nil {
+		s.serveConnectivity(w, r, t, true)
+	}
 }
 
-func (s *Server) serveConnectivity(w http.ResponseWriter, r *http.Request, forest bool) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
-	}
+func (s *Server) serveConnectivity(w http.ResponseWriter, r *http.Request, t *tenant, forest bool) {
 	labels := boolParam(r, "labels")
 	// Every variant — /connectivity, ?labels=true, ?forest=true, and
 	// /spanning-tree — is the same engine computation, so they all share
@@ -721,22 +849,10 @@ func (s *Server) serveConnectivity(w http.ResponseWriter, r *http.Request, fores
 		}
 		return c
 	}
-	s.runCached(w, r, t, "connectivity", "", shape, func(ctx context.Context, _ uint64) (hitMarker, uint64, error) {
-		q, err := t.c.Connectivity(ctx)
-		if err != nil {
-			return nil, 0, err
-		}
-		return connectivityResponse{
-			Graph:             t.name,
-			Epoch:             q.Epoch,
-			Components:        q.Components,
-			Phases:            q.Phases,
-			Rounds:            q.Rounds,
-			SketchFailures:    q.SketchFailures,
-			RelabeledVertices: q.RelabeledVertices,
-			Labels:            q.Labels,
-			Forest:            toJSONEdges(q.Forest),
-		}, q.Epoch, nil
+	s.runCached(w, r, t, "connectivity", "", shape, func(ctx context.Context) (hitMarker, uint64, error) {
+		resp, err := t.b.connectivity(ctx)
+		resp.Graph = t.name
+		return resp, resp.Epoch, err
 	})
 }
 
@@ -755,6 +871,17 @@ type mstResponse struct {
 }
 
 func (m mstResponse) hit() any { m.Cached = true; return m }
+
+func newMSTResponse(res *kmgraph.MSTResult, epoch uint64) mstResponse {
+	return mstResponse{
+		Epoch:       epoch,
+		TotalWeight: res.TotalWeight,
+		EdgeCount:   len(res.Edges),
+		Phases:      res.Phases,
+		Rounds:      res.Metrics.Rounds,
+		Edges:       toJSONEdges(res.Edges),
+	}
+}
 
 func (s *Server) handleMST(w http.ResponseWriter, r *http.Request) {
 	t := s.tenant(w, r)
@@ -775,25 +902,10 @@ func (s *Server) handleMST(w http.ResponseWriter, r *http.Request) {
 		return m
 	}
 	args := fmt.Sprintf("strong=%t", strong)
-	s.runCached(w, r, t, "mst", args, shape, func(ctx context.Context, _ uint64) (hitMarker, uint64, error) {
-		var opts []kmgraph.MSTOption
-		if strong {
-			opts = append(opts, kmgraph.StrongOutput())
-		}
-		res, err := t.c.MST(ctx, opts...)
-		if err != nil {
-			return nil, 0, err
-		}
-		runEpoch := t.c.Epoch()
-		return mstResponse{
-			Graph:       t.name,
-			Epoch:       runEpoch,
-			TotalWeight: res.TotalWeight,
-			EdgeCount:   len(res.Edges),
-			Phases:      res.Phases,
-			Rounds:      res.Metrics.Rounds,
-			Edges:       toJSONEdges(res.Edges),
-		}, runEpoch, nil
+	s.runCached(w, r, t, "mst", args, shape, func(ctx context.Context) (hitMarker, uint64, error) {
+		resp, err := t.b.mst(ctx, strong)
+		resp.Graph = t.name
+		return resp, resp.Epoch, err
 	})
 }
 
@@ -812,8 +924,8 @@ type mincutResponse struct {
 func (m mincutResponse) hit() any { m.Cached = true; return m }
 
 func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
+	t, c := s.resident(w, r)
+	if c == nil {
 		return
 	}
 	trials, err := intParam(r, "trials", 0)
@@ -827,7 +939,7 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	args := fmt.Sprintf("trials=%d&maxlevel=%d", trials, maxLevel)
-	s.runCached(w, r, t, "mincut", args, nil, func(ctx context.Context, _ uint64) (hitMarker, uint64, error) {
+	s.runCached(w, r, t, "mincut", args, nil, func(ctx context.Context) (hitMarker, uint64, error) {
 		var opts []kmgraph.MinCutOption
 		if trials > 0 {
 			opts = append(opts, kmgraph.WithTrials(trials))
@@ -835,11 +947,11 @@ func (s *Server) handleMinCut(w http.ResponseWriter, r *http.Request) {
 		if maxLevel > 0 {
 			opts = append(opts, kmgraph.WithMaxLevel(maxLevel))
 		}
-		res, err := t.c.ApproxMinCut(ctx, opts...)
+		res, err := c.ApproxMinCut(ctx, opts...)
 		if err != nil {
 			return nil, 0, err
 		}
-		runEpoch := t.c.Epoch()
+		runEpoch := c.Epoch()
 		return mincutResponse{
 			Graph:    t.name,
 			Epoch:    runEpoch,
@@ -889,13 +1001,12 @@ type verifyResponse struct {
 func (v verifyResponse) hit() any { v.Cached = true; return v }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
+	t, c := s.resident(w, r)
+	if c == nil {
 		return
 	}
 	var req verifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	p, ok := problemByName[req.Problem]
@@ -914,12 +1025,12 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	// The canonical args key is the normalized request itself.
 	rawKey, _ := json.Marshal(req)
-	s.runCached(w, r, t, "verify", string(rawKey), nil, func(ctx context.Context, _ uint64) (hitMarker, uint64, error) {
-		out, err := t.c.Verify(ctx, p, args)
+	s.runCached(w, r, t, "verify", string(rawKey), nil, func(ctx context.Context) (hitMarker, uint64, error) {
+		out, err := c.Verify(ctx, p, args)
 		if err != nil {
 			return nil, 0, err
 		}
-		runEpoch := t.c.Epoch()
+		runEpoch := c.Epoch()
 		return verifyResponse{
 			Graph:   t.name,
 			Epoch:   runEpoch,
@@ -957,8 +1068,8 @@ type batchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
+	t, c := s.resident(w, r)
+	if c == nil {
 		return
 	}
 	timeout, err := s.parseTimeout(r)
@@ -967,8 +1078,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -989,7 +1099,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer t.release()
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	br, err := t.c.ApplyBatch(ctx, ops)
+	br, err := c.ApplyBatch(ctx, ops)
 	if err != nil {
 		jobError(w, err)
 		return
@@ -1026,17 +1136,17 @@ type metricsResponse struct {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
+	t, c := s.resident(w, r)
+	if c == nil {
 		return
 	}
-	met := t.c.Metrics()
-	queued, running := t.c.Queue()
+	met := c.Metrics()
+	queued, running := c.Queue()
 	hits, misses, size := t.cache.stats()
 	writeJSON(w, http.StatusOK, metricsResponse{
 		Graph:       t.name,
-		N:           t.c.N(),
-		K:           t.c.K(),
+		N:           c.N(),
+		K:           c.K(),
 		Edges:       met.Edges,
 		Epoch:       met.Epoch,
 		LoadRounds:  met.LoadRounds,

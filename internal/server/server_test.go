@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -521,4 +522,24 @@ func TestConcurrentJobsAndMetricsConsistency(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestOversizedBodyRefused413 pins the request-body cap: a /batch body
+// past maxBodyBytes is refused with 413 and the JSON error shape rather
+// than buffered, and the graph keeps serving.
+func TestOversizedBodyRefused413(t *testing.T) {
+	g := kmgraph.GNM(100, 300, 5)
+	s, ts := newTestServer(t, Config{}, "g", g, 2, 3)
+
+	// A valid one-op batch padded with whitespace past the cap. It is
+	// served in-process: over TCP the server's early close can reset the
+	// connection before the client reads the 413.
+	body := `{"ops":[{"u":0,"v":1}` + strings.Repeat(" ", maxBodyBytes) + `]}`
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/graphs/g/batch", strings.NewReader(body)))
+	var e errorResponse
+	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+		t.Fatalf("status %d body %q, want 413 with a JSON error", rec.Code, rec.Body.Bytes())
+	}
+	getJSON(t, ts.URL+"/graphs/g/connectivity", http.StatusOK, nil)
 }

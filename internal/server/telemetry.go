@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
@@ -117,20 +116,14 @@ func (o *graphObs) observe(ev kmgraph.ClusterEvent) {
 }
 
 // registerTenantMetrics wires the scrape-time series of one registered
-// graph: admission-queue depth, running jobs, epoch, cache hit/miss
-// counters, coalesced followers, and 429 sheds. All are read live from
-// the tenant at scrape; DropLabeled unregisters them at unload.
+// graph: epoch, cache hit/miss counters, coalesced followers, and 429
+// sheds, plus the backend's own series. All are read live at scrape;
+// DropLabeled unregisters them at unload.
 func (s *Server) registerTenantMetrics(t *tenant) {
 	g := telemetry.Label{Name: "graph", Value: t.name}
-	s.registry.GaugeFunc("kmserve_queue_depth",
-		"Jobs queued on the graph's admission semaphore.",
-		func() float64 { q, _ := t.c.Queue(); return float64(q) }, g)
-	s.registry.GaugeFunc("kmserve_running_jobs",
-		"Jobs currently running on the graph (0 or 1).",
-		func() float64 { _, r := t.c.Queue(); return float64(r) }, g)
 	s.registry.GaugeFunc("kmserve_graph_epoch",
 		"The graph's mutation epoch (bumped by every effective batch).",
-		func() float64 { return float64(t.c.Epoch()) }, g)
+		func() float64 { return float64(t.b.epoch()) }, g)
 	s.registry.CounterFunc("kmserve_cache_hits_total",
 		"Result-cache hits served for the graph.",
 		func() float64 { h, _, _ := t.cache.stats(); return float64(h) }, g)
@@ -143,9 +136,21 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 	s.registry.CounterFunc("kmserve_shed_total",
 		"Requests refused with 429 by the graph's admission queue.",
 		func() float64 { return float64(t.shed.Load()) }, g)
-	s.registry.CounterFunc("kmgraph_observer_panics_total",
+	t.b.registerMetrics(s.registry, g)
+}
+
+// registerMetrics wires the resident cluster's engine-queue and observer
+// series.
+func (b *residentBackend) registerMetrics(reg *telemetry.Registry, g telemetry.Label) {
+	reg.GaugeFunc("kmserve_queue_depth",
+		"Jobs queued on the graph's admission semaphore.",
+		func() float64 { q, _ := b.c.Queue(); return float64(q) }, g)
+	reg.GaugeFunc("kmserve_running_jobs",
+		"Jobs currently running on the graph (0 or 1).",
+		func() float64 { _, r := b.c.Queue(); return float64(r) }, g)
+	reg.CounterFunc("kmgraph_observer_panics_total",
 		"Recovered panics out of the graph's observer hook.",
-		func() float64 { return float64(t.c.Metrics().ObserverPanics) }, g)
+		func() float64 { return float64(b.c.Metrics().ObserverPanics) }, g)
 }
 
 // handlePrometheus serves the whole registry in Prometheus text
@@ -189,23 +194,27 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleTrace serves a graph's recent job spans as Chrome trace-event
-// JSON (loadable in Perfetto / chrome://tracing), ordered by start
+// handleTrace serves a graph's job trace as Chrome trace-event JSON
+// (loadable in Perfetto / chrome://tracing).
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	t := s.tenant(w, r)
+	if t == nil {
+		return
+	}
+	writeJSON(w, http.StatusOK, t.b.trace(w.Header()))
+}
+
+// trace returns the resident graph's recent job spans, ordered by start
 // timestamp. The buffer holds the most recent maxTraceEvents spans;
 // events are recorded in job-completion order, so once the buffer has
 // trimmed, arrival order no longer matches time order for overlapping
 // jobs — hence the sorted snapshot. The X-Kmserve-Trace-Dropped header
 // reports how many older spans the trim discarded (0 = the trace is
 // complete).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	t := s.tenant(w, r)
-	if t == nil {
-		return
-	}
-	o := s.obsFor(t.name)
-	w.Header().Set("X-Kmserve-Trace-Dropped", strconv.Itoa(o.tracer.Dropped()))
-	w.Header().Set("X-Kmserve-Trace-Limit", strconv.Itoa(maxTraceEvents))
-	writeJSON(w, http.StatusOK, o.tracer.SnapshotSorted())
+func (b *residentBackend) trace(h http.Header) any {
+	h.Set("X-Kmserve-Trace-Dropped", strconv.Itoa(b.tracer.Dropped()))
+	h.Set("X-Kmserve-Trace-Limit", strconv.Itoa(maxTraceEvents))
+	return b.tracer.SnapshotSorted()
 }
 
 // newRequestID mints a 16-hex-char request identifier.
@@ -215,17 +224,4 @@ func newRequestID() string {
 		return "0000000000000000"
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// ridKey carries the request ID through the request context — and from
-// there into every job the request runs, since job contexts derive from
-// the request's.
-type ridKey struct{}
-
-// RequestIDFromContext returns the request ID threaded through ctx, or
-// "" outside a server request (job contexts carry it: they derive from
-// the request context).
-func RequestIDFromContext(ctx context.Context) string {
-	v, _ := ctx.Value(ridKey{}).(string)
-	return v
 }

@@ -19,7 +19,7 @@ import (
 // bounds-checked: corrupted or truncated input yields an error, never a
 // panic.
 //
-// A Reader is safe for concurrent metadata access (N, M, RowDegree) and
+// A Reader is safe for concurrent metadata access (N, M, Weighted) and
 // for concurrent Source() iterators over one mapping: each iterator is
 // single-goroutine like any EdgeSource, but any number of them may run
 // in parallel — per-block CRC verification, the only shared mutable
@@ -190,15 +190,6 @@ func (r *Reader) M() int { return r.m }
 
 // Weighted reports whether the store carries explicit edge weights.
 func (r *Reader) Weighted() bool { return r.weighted }
-
-// RowDegree returns the canonical out-degree of row u: the number of
-// stored edges {u, v} with v > u (not the graph degree of u).
-func (r *Reader) RowDegree(u int) int {
-	if u < 0 || u >= r.n {
-		return 0
-	}
-	return int(getU32(r.deg[4*u:]))
-}
 
 // Close releases the mapping and the file. The Reader and any sources
 // derived from it must not be used afterwards. Close is idempotent:
