@@ -196,32 +196,33 @@ func BenchmarkMSTSketch(b *testing.B) {
 	}
 }
 
-// benchDynamicBatch drives a resident dynamic session through b.N
-// churn batches (apply + query per iteration) and reports the mean
-// engine rounds per batch alongside wall-clock — the two costs future
-// PRs must not regress.
+// benchDynamicBatch drives a resident Cluster through b.N churn batches
+// (apply + query per iteration) and reports the mean engine rounds per
+// batch alongside wall-clock — the two costs later changes must not
+// regress.
 func benchDynamicBatch(b *testing.B, delFrac float64) {
 	n, m, k := 1024, 3072, 8
 	stream := RandomChurnStream(n, m, b.N, 30, delFrac, 7)
-	// MaxRounds is cumulative over the resident session; lift the default
+	// MaxRounds is cumulative over the residency; lift the default
 	// cap so arbitrarily long -benchtime runs don't trip it.
-	sess, err := NewDynamic(stream.Initial, DynamicConfig{K: k, Seed: 7, MaxRounds: 1 << 30})
+	ctx := context.Background()
+	c, err := NewCluster(stream.Initial, WithK(k), WithSeed(7), WithMaxRounds(1<<30))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sess.Close()
-	if _, err := sess.Query(); err != nil { // build-up
+	defer c.Close()
+	if _, err := c.Connectivity(ctx); err != nil { // build-up
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		br, err := sess.ApplyBatch(stream.Batches[i])
+		br, err := c.ApplyBatch(ctx, stream.Batches[i])
 		if err != nil {
 			b.Fatal(err)
 		}
-		q, err := sess.Query()
+		q, err := c.Connectivity(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,402 +1,194 @@
 // Command kmconnect runs the Õ(n/k²) connectivity algorithm (or a
-// baseline) on a generated graph and reports components and cost. The
-// default sketch path serves the query from a resident Cluster; -timeout
-// bounds the whole job via context.WithTimeout.
+// baseline) on a graph and reports components and cost. The sketch
+// algorithm serves the query from a resident Cluster.
 //
 // Usage:
 //
-//	kmconnect [-gen gnm|gnp|path|cycle|star|components|planted]
-//	          [-n 4096] [-m 12288] [-p 0.01] [-c 5]
+//	kmconnect [-gen gnm|gnp|powerlaw|path|cycle|star|complete|components|planted|bridged]
+//	          [-n 4096] [-m 12288] [-p 0.01] [-c 5] [-algo sketch|edgecheck|flooding|referee]
 //	          [-k 8] [-seed 1] [-timeout 0] [-trace out.json]
-//	          [-algo sketch|edgecheck|flooding|referee]
-//	kmconnect -store graph.kmgs [-k 8] [-seed 1] [-timeout 0] [-trace out.json]
+//	kmconnect -store graph.kmgs [-materialize] [-no-oracle] [-k 8] [-seed 1] [-trace out.json]
 //	kmconnect -transport tcp -workers host:9601,host:9602 \
-//	          (-store graph.kmgs | -gen gnm -n ... -m ...) [-k 8] [-seed 1]
+//	          (-store graph.kmgs | -gen gnm -n ... -m ...) [-k 8] [-seed 1] [-flight-dump dir/]
 //
-// With -store, the graph is served shard-direct from a kmgs container
-// (see cmd/kmconvert) and never materialized in this process.
+// The input and distributed flags are shared with the other algorithm
+// commands (internal/cli). With -store, the sketch algorithm loads a kmgs
+// store (see cmd/kmconvert) or text edge list shard-direct, never
+// materializing the graph in this process; -materialize drains it into
+// memory first (the E15 baseline), and the baselines always do.
 //
-// With -transport tcp, the k machines run distributed across the
-// kmworker processes listed in -workers (see cmd/kmworker): this
-// process coordinates, each worker loads its own slice of the graph
-// from the source spec and hosts a contiguous machine range. Only
-// -store and -gen gnm sources are supported (the workers must be able
-// to reproduce the graph independently), and only the one-shot sketch
-// algorithm runs distributed. The result and its Metrics are
-// bit-identical to a local run with the same parameters.
+// With -transport tcp, this process coordinates the kmworker processes
+// in -workers (see cmd/kmworker), each loading its own graph slice from
+// the source spec; only the sketch algorithm runs distributed. The
+// result and Metrics are bit-identical to a local run on the same
+// source: the same store, or the streaming GNM of the same n, m and
+// seed, which is the in-memory -gen gnm graph whenever m <= n(n-1)/4
+// (denser gnm is refused).
 //
-// With -trace, the resident engine's phase events are recorded and
-// written as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing): one span per job enclosing one span per merge
-// phase, annotated with rounds, message and payload deltas, and link
-// skew. Locally, only the resident sketch path (-algo sketch or
-// -store) emits phase events. With -transport tcp, -trace instead
-// assembles a cross-process trace: every worker streams its phase
-// spans back over its control connection and the written trace has one
-// pid per worker, annotated with per-worker rounds, wire traffic, and
-// barrier waits.
-//
-// With -transport tcp -flight-dump dir/, a failed run writes each
-// side's flight-recorder snapshot (the last K rounds of every link
-// before the failure) as JSON files under dir/ — see dist.FlightDump.
+// -trace writes the job's phase spans as Chrome trace-event JSON
+// (Perfetto, chrome://tracing); under -transport tcp the trace is
+// assembled from the spans every worker streams back, one pid per
+// worker. -flight-dump dir/ writes each side's flight-recorder snapshot
+// (the last rounds of every link) when a distributed run fails.
 package main
 
 import (
+	"cmp"
 	"context"
-	"flag"
-	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
 	"kmgraph/internal/procstat"
-	"kmgraph/internal/telemetry"
 )
 
-// traceOpts returns a tracer plus the cluster options that wire it in,
-// or nil options when tracing is off.
-func traceOpts(path string) (*telemetry.JobTracer, []kmgraph.ClusterOption) {
-	if path == "" {
-		return nil, nil
-	}
-	tr := telemetry.NewJobTracer()
-	return tr, []kmgraph.ClusterOption{
-		kmgraph.WithObserver(tr.Observer()),
-		kmgraph.WithPhaseMetrics(),
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// writeTrace flushes the tracer (when tracing is on) and reports the
-// output path.
-func writeTrace(tr *telemetry.JobTracer, path string) {
-	if tr == nil {
-		return
-	}
-	if err := tr.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s\n", path)
-}
-
-func buildGraph(gen string, n, m, c int, p float64, seed int64) (*kmgraph.Graph, error) {
-	switch gen {
-	case "gnm":
-		return kmgraph.GNM(n, m, seed), nil
-	case "gnp":
-		return kmgraph.GNP(n, p, seed), nil
-	case "path":
-		return kmgraph.Path(n), nil
-	case "cycle":
-		return kmgraph.Cycle(n), nil
-	case "star":
-		return kmgraph.Star(n), nil
-	case "components":
-		return kmgraph.DisjointComponents(n, c, 0.5, seed), nil
-	case "planted":
-		return kmgraph.PlantedPartition(n, c, 0.1, 0.001, seed), nil
-	case "powerlaw":
-		return kmgraph.ChungLu(n, 2.5, float64(m)*2/float64(n), seed), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
-	}
-}
-
-func loadGraph(path string) (*kmgraph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return kmgraph.ReadEdgeList(f)
-}
-
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("kmconnect", stdout, stderr)
+	in := c.Input(cli.Input{N: 4096}, "gen", "n", "m", "p", "c", "store")
+	d := c.Dist()
+	algo := c.Flags.String("algo", "sketch", "sketch|edgecheck|flooding|referee")
+	materialize := c.Flags.Bool("materialize", false, "with -store: drain the store into a full in-memory graph and load via NewCluster (E15 memory baseline)")
+	skipOracle := c.Flags.Bool("no-oracle", false, "with -store: skip the streaming union-find oracle pass")
+	return c.Run(args, func() error {
+		switch *algo {
+		case "sketch", "edgecheck", "flooding", "referee":
+		default:
+			return cli.Usagef("unknown algorithm %q", *algo)
+		}
+		if *algo != "sketch" || d.TCP() || !in.Stored() {
+			if err := c.Reject("applies only to the local sketch run of a -store graph", "materialize", "no-oracle"); err != nil {
+				return err
+			}
+		}
+		if *algo != "sketch" && (d.TCP() || d.Trace != "") {
+			return cli.Usagef("-algo %s runs locally without phase events (drop -transport tcp and -trace)", *algo)
+		}
+		switch {
+		case d.TCP():
+			source, err := in.Spec()
+			if err != nil {
+				return err
+			}
+			return d.Run(source, func(ctx context.Context, workers []string, opts dist.CoordOptions) error {
+				start := time.Now()
+				res, err := dist.RunConnectivityOpts(ctx, workers, source, core.Config{K: c.K, Seed: c.Seed}, opts)
+				if err != nil {
+					return err
+				}
+				c.Printf("components: %d\n", res.Components)
+				c.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
+				c.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
+				return nil
+			})
+		case in.Stored() && *algo == "sketch":
+			return runStore(c, in, *materialize, *skipOracle)
+		}
+		g, err := in.Graph()
+		if err != nil {
+			return err
+		}
+		c.Printf("graph: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round\n",
+			cmp.Or(in.Store, in.Gen), g.N(), g.M(), c.K, kmgraph.DefaultBandwidth(g.N()))
+		_, oracleCount := kmgraph.ComponentsOracle(g)
+		switch *algo {
+		case "sketch":
+			cl, err := kmgraph.NewCluster(g, c.ClusterOptions()...)
+			if err != nil {
+				return err
+			}
+			defer cl.Close()
+			ctx, cancel := c.Context()
+			defer cancel()
+			res, err := cl.Connectivity(ctx)
+			if err != nil {
+				return err
+			}
+			c.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
+			c.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
+			c.Printf("cost: load %d rounds (paid once) + query %d rounds\n",
+				cl.Metrics().LoadRounds, res.Rounds)
+			return c.WriteTrace()
+		case "edgecheck":
+			res, err := kmgraph.Connectivity(g, kmgraph.Config{K: c.K, Seed: c.Seed, EdgeCheckSelection: true})
+			if err != nil {
+				return err
+			}
+			c.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
+			c.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
+			c.Printf("cost: %s\n", res.Metrics.String())
+		default:
+			baseline := kmgraph.FloodingConnectivity
+			if *algo == "referee" {
+				baseline = kmgraph.RefereeConnectivity
+			}
+			res, err := baseline(g, kmgraph.BaselineConfig{K: c.K, Seed: c.Seed})
+			if err != nil {
+				return err
+			}
+			c.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
+			c.Printf("cost: %s\n", res.Metrics.String())
+		}
+		return nil
+	})
 }
 
 // runStore serves a kmgs store (or text edge list) shard-direct: the
-// graph is never materialized in this process — the residency's
-// per-machine shards are filled straight from the stream, and the
-// oracle is a one-pass streaming union-find. With materialize set it
-// instead drains the store into a full graph.Graph and loads via
-// NewCluster (the legacy path), which is the E15 memory baseline; the
-// two paths produce bit-identical residencies and Metrics.
-func runStore(path string, k int, seed int64, timeout time.Duration, materialize, skipOracle bool, tracePath string) {
+// residency's per-machine shards are filled straight from the stream,
+// and the oracle is a one-pass streaming union-find. With materialize
+// set it instead drains the store into a full graph and loads via
+// NewCluster, the E15 memory baseline; both paths produce bit-identical
+// residencies and Metrics.
+func runStore(c *cli.Cmd, in *cli.Input, materialize, skipOracle bool) error {
 	oracleCount := -1
 	if !skipOracle {
-		src, closer, err := kmgraph.OpenSource(path)
+		src, closer, err := kmgraph.OpenSource(in.Store)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		oracleCount, err = kmgraph.ComponentsFromSourceOracle(src)
 		closer.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-
-	tracer, clOpts := traceOpts(tracePath)
-	clOpts = append(clOpts, kmgraph.WithK(k), kmgraph.WithSeed(seed))
-
 	loadStart := time.Now()
+	mode := "shard-direct"
 	var cl *kmgraph.Cluster
 	var err error
-	mode := "shard-direct"
 	if materialize {
 		mode = "materialize-then-load"
-		var src kmgraph.EdgeSource
-		var closer interface{ Close() error }
-		src, closer, err = kmgraph.OpenSource(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		var g *kmgraph.Graph
+		if g, err = in.Graph(); err == nil {
+			cl, err = kmgraph.NewCluster(g, c.ClusterOptions()...)
 		}
-		var edges []kmgraph.Edge
-		edges, err = kmgraph.DrainEdgeSource(src)
-		n := src.N()
-		closer.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		g := kmgraph.FromEdges(n, edges)
-		edges = nil
-		cl, err = kmgraph.NewCluster(g, clOpts...)
 	} else {
-		cl, err = kmgraph.OpenCluster(path, clOpts...)
+		cl, err = kmgraph.OpenCluster(in.Store, c.ClusterOptions()...)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer cl.Close()
-	loadWall := time.Since(loadStart)
-	met := cl.Metrics()
-	fmt.Printf("store: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round (%s load %v)\n",
-		path, cl.N(), met.Edges, k, kmgraph.DefaultBandwidth(cl.N()), mode, loadWall.Round(time.Millisecond))
-	fmt.Printf("after-load peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
+	c.Printf("store: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round (%s load %v)\n", in.Store, cl.N(),
+		cl.Metrics().Edges, c.K, kmgraph.DefaultBandwidth(cl.N()), mode, time.Since(loadStart).Round(time.Millisecond))
+	c.Printf("after-load peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
 
-	ctx, cancel := jobCtx(timeout)
+	ctx, cancel := c.Context()
 	defer cancel()
 	queryStart := time.Now()
 	res, err := cl.Connectivity(ctx)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	met = cl.Metrics()
-	fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-	fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-	fmt.Printf("cost: load %d rounds (paid once) + query %d rounds (query wall %v)\n",
-		met.LoadRounds, res.Rounds, time.Since(queryStart).Round(time.Millisecond))
-	fmt.Printf("peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
-	writeTrace(tracer, tracePath)
-}
-
-// distObserve wires -trace and -flight-dump into the coordinator
-// options, returning the collectors to flush afterwards.
-func distObserve(opts *dist.CoordOptions, tracePath, flightDir string) (*dist.JobTrace, *dist.FlightLog) {
-	var trace *dist.JobTrace
-	if tracePath != "" {
-		trace = &dist.JobTrace{}
-		opts.Trace = trace
-	}
-	var flight *dist.FlightLog
-	if flightDir != "" {
-		flight = &dist.FlightLog{}
-		opts.Flight = flight
-	}
-	return trace, flight
-}
-
-// distFail dumps the flight log (when -flight-dump is set) and exits.
-func distFail(err error, flight *dist.FlightLog, flightDir string) {
-	if flight != nil {
-		if derr := flight.Dump(flightDir); derr != nil {
-			fmt.Fprintf(os.Stderr, "flight dump: %v\n", derr)
-		} else {
-			fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", flightDir)
-		}
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
-// writeDistTrace writes the assembled cross-process trace.
-func writeDistTrace(trace *dist.JobTrace, path string) {
-	if trace == nil {
-		return
-	}
-	if err := telemetry.WriteTrace(path, trace.Assemble()); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s (trace id %#x)\n", path, trace.TraceID())
-}
-
-// runDistributed coordinates a connectivity job over a kmworker fleet.
-func runDistributed(workers []string, source string, k int, seed int64, timeout time.Duration,
-	opts dist.CoordOptions, tracePath, flightDir string) {
-	trace, flight := distObserve(&opts, tracePath, flightDir)
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(workers), k)
-	ctx, cancel := jobCtx(timeout)
-	defer cancel()
-	start := time.Now()
-	res, err := dist.RunConnectivityOpts(ctx, workers, source, core.Config{K: k, Seed: seed}, opts)
-	if err != nil {
-		distFail(err, flight, flightDir)
-	}
-	fmt.Printf("components: %d\n", res.Components)
-	fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	writeDistTrace(trace, tracePath)
-}
-
-// distSource maps the graph flags to a dist source spec that every
-// worker can open independently.
-func distSource(storePath, gen string, n, m int, seed int64) (string, error) {
-	switch {
-	case storePath != "":
-		return "store:" + storePath, nil
-	case gen == "gnm":
-		return fmt.Sprintf("gnm:%d:%d:%d", n, m, seed), nil
-	default:
-		return "", fmt.Errorf("-transport tcp supports -store or -gen gnm (got -gen %s)", gen)
-	}
-}
-
-func main() {
-	gen := flag.String("gen", "gnm", "graph generator")
-	input := flag.String("input", "", "read an edge-list file instead of generating")
-	storePath := flag.String("store", "", "serve a kmgs store shard-direct (never materializes the graph)")
-	materialize := flag.Bool("materialize", false, "with -store: drain the store into a full in-memory graph and load via NewCluster (E15 memory baseline)")
-	skipOracle := flag.Bool("no-oracle", false, "with -store: skip the streaming union-find oracle pass")
-	n := flag.Int("n", 4096, "vertices")
-	m := flag.Int("m", 0, "edges (gnm; default 3n)")
-	p := flag.Float64("p", 0.01, "edge probability (gnp)")
-	c := flag.Int("c", 5, "components/communities")
-	k := flag.Int("k", 8, "machines")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "job deadline (0 = none), e.g. 30s")
-	algo := flag.String("algo", "sketch", "sketch|edgecheck|flooding|referee")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
-	transportMode := flag.String("transport", "local", "local|tcp: where the k machines run")
-	workerList := flag.String("workers", "", "with -transport tcp: comma-separated kmworker addresses")
-	retries := flag.Int("retries", 1, "with -transport tcp: total job attempts; lost workers are re-dialed between attempts")
-	hbTimeout := flag.Duration("heartbeat-timeout", 30*time.Second, "with -transport tcp: silence tolerated on a worker before declaring it stalled")
-	flightDir := flag.String("flight-dump", "", "with -transport tcp: on failure, dump flight-recorder snapshots as JSON under this directory")
-	flag.Parse()
-
-	if *tracePath != "" && *transportMode == "local" && *storePath == "" && *algo != "sketch" {
-		fmt.Fprintln(os.Stderr, "kmconnect: -trace requires the resident engine (-algo sketch or -store) or -transport tcp")
-		os.Exit(2)
-	}
-	switch *transportMode {
-	case "local":
-	case "tcp":
-		if *workerList == "" {
-			fmt.Fprintln(os.Stderr, "kmconnect: -transport tcp requires -workers")
-			os.Exit(2)
-		}
-		if *m == 0 {
-			*m = 3 * *n
-		}
-		source, err := distSource(*storePath, *gen, *n, *m, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kmconnect: %v\n", err)
-			os.Exit(2)
-		}
-		runDistributed(strings.Split(*workerList, ","), source, *k, *seed, *timeout, dist.CoordOptions{
-			HeartbeatTimeout: *hbTimeout,
-			Retry:            dist.RetryPolicy{Attempts: *retries},
-		}, *tracePath, *flightDir)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "kmconnect: unknown transport %q\n", *transportMode)
-		os.Exit(2)
-	}
-	if *storePath != "" {
-		runStore(*storePath, *k, *seed, *timeout, *materialize, *skipOracle, *tracePath)
-		return
-	}
-	if *m == 0 {
-		*m = 3 * *n
-	}
-	var g *kmgraph.Graph
-	var err error
-	if *input != "" {
-		*gen = *input
-		g, err = loadGraph(*input)
-	} else {
-		g, err = buildGraph(*gen, *n, *m, *c, *p, *seed)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("graph: %s n=%d m=%d; cluster: k=%d B=%d bits/link/round\n",
-		*gen, g.N(), g.M(), *k, kmgraph.DefaultBandwidth(g.N()))
-
-	_, oracleCount := kmgraph.ComponentsOracle(g)
-	switch *algo {
-	case "sketch":
-		tracer, clOpts := traceOpts(*tracePath)
-		clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
-		cl, err := kmgraph.NewCluster(g, clOpts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer cl.Close()
-		ctx, cancel := jobCtx(*timeout)
-		defer cancel()
-		res, err := cl.Connectivity(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		met := cl.Metrics()
-		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-		fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-		fmt.Printf("cost: load %d rounds (paid once) + query %d rounds\n",
-			met.LoadRounds, res.Rounds)
-		writeTrace(tracer, *tracePath)
-	case "edgecheck":
-		cfg := kmgraph.Config{K: *k, Seed: *seed, EdgeCheckSelection: true}
-		res, err := kmgraph.Connectivity(g, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-		fmt.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
-		fmt.Printf("cost: %s\n", res.Metrics.String())
-	case "flooding", "referee":
-		cfg := kmgraph.BaselineConfig{K: *k, Seed: *seed}
-		var res *kmgraph.BaselineResult
-		if *algo == "flooding" {
-			res, err = kmgraph.FloodingConnectivity(g, cfg)
-		} else {
-			res, err = kmgraph.RefereeConnectivity(g, cfg)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
-		fmt.Printf("cost: %s\n", res.Metrics.String())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
-		os.Exit(1)
-	}
+	c.Printf("components: %d (oracle: %d)\n", res.Components, oracleCount)
+	c.Printf("phases: %d  sketch failures: %d\n", res.Phases, res.SketchFailures)
+	c.Printf("cost: load %d rounds (paid once) + query %d rounds (query wall %v)\n",
+		cl.Metrics().LoadRounds, res.Rounds, time.Since(queryStart).Round(time.Millisecond))
+	c.Printf("peak RSS: %d MB\n", procstat.MaxRSSBytes()>>20)
+	return c.WriteTrace()
 }

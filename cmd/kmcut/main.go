@@ -5,71 +5,49 @@
 //
 // Usage:
 //
-//	kmcut [-graph cycle|bridged|complete|gnm] [-n 64] [-bridges 4]
+//	kmcut [-gen bridged|cycle|complete|gnm|...] [-n 64] [-c 4]
 //	      [-k 8] [-seed 1] [-timeout 0]
+//
+// -gen takes every generator of cmd/kmconnect; -c is the bridge count of
+// the default two bridged cliques, and gnm draws 4n edges.
 package main
 
 import (
-	"context"
-	"flag"
-	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
 
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	kind := flag.String("graph", "bridged", "cycle|bridged|complete|gnm")
-	n := flag.Int("n", 64, "size parameter")
-	bridges := flag.Int("bridges", 4, "bridge edges (bridged)")
-	k := flag.Int("k", 8, "machines")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "job deadline (0 = none), e.g. 30s")
-	flag.Parse()
-
-	var g *kmgraph.Graph
-	switch *kind {
-	case "cycle":
-		g = kmgraph.Cycle(*n)
-	case "bridged":
-		g = kmgraph.TwoCliquesBridged(*n/2, *bridges, *seed)
-	case "complete":
-		g = kmgraph.Complete(*n)
-	case "gnm":
-		g = kmgraph.GNM(*n, 4**n, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown graph %q\n", *kind)
-		os.Exit(1)
-	}
-
-	trueCut := kmgraph.MinCutOracle(g)
-	cl, err := kmgraph.NewCluster(g, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	ctx, cancel := jobCtx(*timeout)
-	defer cancel()
-	res, err := cl.ApproxMinCut(ctx)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	met := cl.Metrics()
-	fmt.Printf("graph: %s n=%d m=%d\n", *kind, g.N(), g.M())
-	fmt.Printf("true min cut (Stoer–Wagner oracle): %d\n", trueCut)
-	fmt.Printf("distributed estimate: %.1f (first disconnecting sampling level: %d)\n",
-		res.Estimate, res.Level)
-	fmt.Printf("cost: %d connectivity runs on one residency, load %d + trials %d rounds\n",
-		res.Runs, met.LoadRounds, res.Rounds)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("kmcut", stdout, stderr)
+	in := c.Input(cli.Input{Gen: "bridged", N: 64, C: 4, MPerN: 4}, "gen", "n", "c")
+	return c.Run(args, func() error {
+		g, err := in.Graph()
+		if err != nil {
+			return err
+		}
+		trueCut := kmgraph.MinCutOracle(g)
+		cl, err := kmgraph.NewCluster(g, c.ClusterOptions()...)
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		ctx, cancel := c.Context()
+		defer cancel()
+		res, err := cl.ApproxMinCut(ctx)
+		if err != nil {
+			return err
+		}
+		c.Printf("graph: %s n=%d m=%d\n", in.Gen, g.N(), g.M())
+		c.Printf("true min cut (Stoer–Wagner oracle): %d\n", trueCut)
+		c.Printf("distributed estimate: %.1f (first disconnecting sampling level: %d)\n",
+			res.Estimate, res.Level)
+		c.Printf("cost: %d connectivity runs on one residency, load %d + trials %d rounds\n",
+			res.Runs, cl.Metrics().LoadRounds, res.Rounds)
+		return nil
+	})
 }

@@ -1,173 +1,99 @@
-// Command kmmst runs the Õ(n/k²) MST algorithm on a weighted random
-// graph via a resident Cluster, verifies the result against the
-// sequential oracle, and reports cost under both output criteria
-// (Theorem 2). -timeout bounds the job via context.WithTimeout.
+// Command kmmst runs the Õ(n/k²) MST algorithm (Theorem 2) via a
+// resident Cluster and reports cost under either output criterion;
+// -timeout bounds the job.
 //
 // Usage:
 //
-//	kmmst [-n 2048] [-m 6144] [-k 8] [-seed 1] [-timeout 0] [-strong] [-rep]
-//	      [-trace out.json]
+//	kmmst [-n 2048] [-m 6144] [-strong] [-rep] [-k 8] [-seed 1] [-timeout 0] [-trace out.json]
+//	kmmst -store graph.kmgs [-strong] [-k 8] [-seed 1] [-trace out.json]
 //	kmmst -transport tcp -workers host:9601,host:9602 -store graph.kmgs
-//	      [-k 8] [-seed 1] [-strong] [-trace out.json] [-flight-dump dir/]
+//	      [-strong] [-k 8] [-seed 1] [-trace out.json] [-flight-dump dir/]
 //
-// With -trace, the resident engine's phase events are written as Chrome
-// trace-event JSON (Perfetto / chrome://tracing). -rep does not use the
-// resident engine and cannot be traced. With -transport tcp, -trace
-// assembles the cross-process trace streamed back by the workers (one
-// pid per worker), and -flight-dump dir/ writes each side's
-// flight-recorder snapshot on failure — see cmd/kmconnect for details.
-//
-// With -transport tcp, the k machines run distributed across the
-// kmworker processes listed in -workers; each loads its slice of the
-// graph from the -store spec (the path must be readable by every
-// worker). The result and Metrics are bit-identical to a local
-// shard-direct run. No oracle check (the coordinator never sees the
-// graph).
+// The generated graph is G(n, m) with distinct random weights, checked
+// against the sequential oracle; -rep runs the random edge partition
+// model on it instead of the resident engine. A -store graph keeps its
+// own weights and is served shard-direct without an oracle check, and
+// under -transport tcp (coordinating the -workers fleet, see
+// cmd/kmconnect for -trace and -flight-dump) the result and Metrics are
+// bit-identical to the local -store run.
 package main
 
 import (
 	"context"
-	"flag"
-	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 	"kmgraph/internal/core"
 	"kmgraph/internal/dist"
-	"kmgraph/internal/telemetry"
 )
 
-// traceOpts returns a tracer plus the cluster options that wire it in,
-// or nil options when tracing is off.
-func traceOpts(path string) (*telemetry.JobTracer, []kmgraph.ClusterOption) {
-	if path == "" {
-		return nil, nil
-	}
-	tr := telemetry.NewJobTracer()
-	return tr, []kmgraph.ClusterOption{
-		kmgraph.WithObserver(tr.Observer()),
-		kmgraph.WithPhaseMetrics(),
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// writeTrace flushes the tracer (when tracing is on) and reports the
-// output path.
-func writeTrace(tr *telemetry.JobTracer, path string) {
-	if tr == nil {
-		return
-	}
-	if err := tr.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace: wrote %s\n", path)
-}
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("kmmst", stdout, stderr)
+	in := c.Input(cli.Input{N: 2048, Weighted: true}, "n", "m", "store")
+	d := c.Dist()
+	strong := c.Flags.Bool("strong", false, "strong output criterion (both endpoints)")
+	repMode := c.Flags.Bool("rep", false, "use the random edge partition model instead")
+	return c.Run(args, func() error {
+		if *repMode && (in.Stored() || d.TCP() || d.Trace != "") {
+			return cli.Usagef("-rep runs a generated graph locally without the resident engine (drop -store, -transport tcp and -trace)")
+		}
+		if d.TCP() {
+			source, err := in.Spec()
+			if err != nil {
+				return err
+			}
+			return d.Run(source, func(ctx context.Context, workers []string, opts dist.CoordOptions) error {
+				start := time.Now()
+				cfg := core.MSTConfig{Config: core.Config{K: c.K, Seed: c.Seed}, StrongOutput: *strong}
+				res, err := dist.RunMSTOpts(ctx, workers, source, cfg, opts)
+				if err != nil {
+					return err
+				}
+				c.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
+				c.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
+					res.Phases, res.ElimIters, res.SketchFailures)
+				c.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
+				return nil
+			})
+		}
 
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
-
-// runDistributed coordinates an MST job over a kmworker fleet.
-func runDistributed(workers []string, source string, k int, seed int64, strong bool, timeout time.Duration,
-	opts dist.CoordOptions, tracePath, flightDir string) {
-	var trace *dist.JobTrace
-	if tracePath != "" {
-		trace = &dist.JobTrace{}
-		opts.Trace = trace
-	}
-	var flight *dist.FlightLog
-	if flightDir != "" {
-		flight = &dist.FlightLog{}
-		opts.Flight = flight
-	}
-	fmt.Printf("distributed: %s over %d workers, k=%d\n", source, len(workers), k)
-	ctx, cancel := jobCtx(timeout)
-	defer cancel()
-	start := time.Now()
-	cfg := core.MSTConfig{Config: core.Config{K: k, Seed: seed}, StrongOutput: strong}
-	res, err := dist.RunMSTOpts(ctx, workers, source, cfg, opts)
-	if err != nil {
-		if flight != nil {
-			if derr := flight.Dump(flightDir); derr != nil {
-				fmt.Fprintf(os.Stderr, "flight dump: %v\n", derr)
-			} else {
-				fmt.Fprintf(os.Stderr, "flight dump: wrote %s\n", flightDir)
+		var cl *kmgraph.Cluster
+		var oracleWeight int64
+		if in.Stored() {
+			var err error
+			if cl, err = kmgraph.OpenCluster(in.Store, c.ClusterOptions()...); err != nil {
+				return err
+			}
+			c.Printf("store: %s n=%d m=%d (shard-direct; oracle skipped)\n", in.Store, cl.N(), cl.Metrics().Edges)
+		} else {
+			g, err := in.Graph()
+			if err != nil {
+				return err
+			}
+			_, oracleWeight = kmgraph.MSTOracle(g)
+			c.Printf("graph: n=%d m=%d distinct weights; oracle MST weight %d\n", g.N(), g.M(), oracleWeight)
+			if *repMode {
+				res, err := kmgraph.REPMST(g, kmgraph.REPConfig{K: c.K, Seed: c.Seed})
+				if err != nil {
+					return err
+				}
+				c.Printf("REP MST: weight=%d edges=%d (match: %v)\n",
+					res.TotalWeight, len(res.Edges), res.TotalWeight == oracleWeight)
+				c.Printf("cost: conversion %d + MST %d = %d rounds (Θ̃(n/k) model)\n",
+					res.ConversionRounds, res.MSTRounds, res.TotalRounds)
+				return nil
+			}
+			if cl, err = kmgraph.NewCluster(g, c.ClusterOptions()...); err != nil {
+				return err
 			}
 		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
-	fmt.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
-		res.Phases, res.ElimIters, res.SketchFailures)
-	fmt.Printf("cost: %s (wall %v)\n", res.Metrics.String(), time.Since(start).Round(time.Millisecond))
-	if trace != nil {
-		if err := telemetry.WriteTrace(tracePath, trace.Assemble()); err != nil {
-			fmt.Fprintf(os.Stderr, "writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace: wrote %s (trace id %#x)\n", tracePath, trace.TraceID())
-	}
-}
-
-func main() {
-	n := flag.Int("n", 2048, "vertices")
-	m := flag.Int("m", 0, "edges (default 3n)")
-	k := flag.Int("k", 8, "machines")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "job deadline (0 = none), e.g. 30s")
-	strong := flag.Bool("strong", false, "strong output criterion (both endpoints)")
-	repMode := flag.Bool("rep", false, "use the random edge partition model instead")
-	storePath := flag.String("store", "", "serve a kmgs store shard-direct (never materializes the graph; no oracle check)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the resident job's phases to this file")
-	transportMode := flag.String("transport", "local", "local|tcp: where the k machines run")
-	workerList := flag.String("workers", "", "with -transport tcp: comma-separated kmworker addresses")
-	retries := flag.Int("retries", 1, "with -transport tcp: total job attempts; lost workers are re-dialed between attempts")
-	hbTimeout := flag.Duration("heartbeat-timeout", 30*time.Second, "with -transport tcp: silence tolerated on a worker before declaring it stalled")
-	flightDir := flag.String("flight-dump", "", "with -transport tcp: on failure, dump flight-recorder snapshots as JSON under this directory")
-	flag.Parse()
-	if *m == 0 {
-		*m = 3 * *n
-	}
-	if *tracePath != "" && *repMode {
-		fmt.Fprintln(os.Stderr, "kmmst: -trace requires the resident engine (not -rep)")
-		os.Exit(2)
-	}
-	switch *transportMode {
-	case "local":
-	case "tcp":
-		if *workerList == "" || *storePath == "" {
-			fmt.Fprintln(os.Stderr, "kmmst: -transport tcp requires -workers and -store")
-			os.Exit(2)
-		}
-		runDistributed(strings.Split(*workerList, ","), "store:"+*storePath, *k, *seed, *strong, *timeout, dist.CoordOptions{
-			HeartbeatTimeout: *hbTimeout,
-			Retry:            dist.RetryPolicy{Attempts: *retries},
-		}, *tracePath, *flightDir)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "kmmst: unknown transport %q\n", *transportMode)
-		os.Exit(2)
-	}
-	tracer, clOpts := traceOpts(*tracePath)
-	clOpts = append(clOpts, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
-
-	if *storePath != "" {
-		cl, err := kmgraph.OpenCluster(*storePath, clOpts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		defer cl.Close()
-		met := cl.Metrics()
-		fmt.Printf("store: %s n=%d m=%d (shard-direct; oracle skipped)\n", *storePath, cl.N(), met.Edges)
-		ctx, cancel := jobCtx(*timeout)
+		ctx, cancel := c.Context()
 		defer cancel()
 		var opts []kmgraph.MSTOption
 		if *strong {
@@ -175,61 +101,24 @@ func main() {
 		}
 		res, err := cl.MST(ctx, opts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
-		fmt.Printf("cost: load %d rounds (paid once) + MST %d rounds\n",
-			cl.Metrics().LoadRounds, res.Metrics.Rounds)
-		writeTrace(tracer, *tracePath)
-		return
-	}
-
-	g := kmgraph.WithDistinctWeights(kmgraph.GNM(*n, *m, *seed), *seed+1)
-	_, oracleWeight := kmgraph.MSTOracle(g)
-	fmt.Printf("graph: n=%d m=%d distinct weights; oracle MST weight %d\n", g.N(), g.M(), oracleWeight)
-
-	if *repMode {
-		res, err := kmgraph.REPMST(g, kmgraph.REPConfig{K: *k, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		met := cl.Metrics()
+		if in.Stored() {
+			c.Printf("MST: weight=%d edges=%d\n", res.TotalWeight, len(res.Edges))
+			c.Printf("cost: load %d rounds (paid once) + MST %d rounds\n", met.LoadRounds, res.Metrics.Rounds)
+			return c.WriteTrace()
 		}
-		fmt.Printf("REP MST: weight=%d edges=%d (match: %v)\n",
+		c.Printf("MST: weight=%d edges=%d (match: %v)\n",
 			res.TotalWeight, len(res.Edges), res.TotalWeight == oracleWeight)
-		fmt.Printf("cost: conversion %d + MST %d = %d rounds (Θ̃(n/k) model)\n",
-			res.ConversionRounds, res.MSTRounds, res.TotalRounds)
-		return
-	}
-
-	cl, err := kmgraph.NewCluster(g, clOpts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	ctx, cancel := jobCtx(*timeout)
-	defer cancel()
-	var opts []kmgraph.MSTOption
-	if *strong {
-		opts = append(opts, kmgraph.StrongOutput())
-	}
-	res, err := cl.MST(ctx, opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("MST: weight=%d edges=%d (match: %v)\n",
-		res.TotalWeight, len(res.Edges), res.TotalWeight == oracleWeight)
-	fmt.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
-		res.Phases, res.ElimIters, res.SketchFailures)
-	met := cl.Metrics()
-	if *strong {
-		fmt.Printf("cost: load %d + weak %d + dissemination %d rounds\n",
-			met.LoadRounds, res.WeakRounds, res.Metrics.Rounds-res.WeakRounds)
-	} else {
-		fmt.Printf("cost: load %d rounds (paid once) + MST %d rounds\n",
-			met.LoadRounds, res.Metrics.Rounds)
-	}
-	writeTrace(tracer, *tracePath)
+		c.Printf("phases: %d  elimination iterations: %d  sketch failures: %d\n",
+			res.Phases, res.ElimIters, res.SketchFailures)
+		if *strong {
+			c.Printf("cost: load %d + weak %d + dissemination %d rounds\n",
+				met.LoadRounds, res.WeakRounds, res.Metrics.Rounds-res.WeakRounds)
+		} else {
+			c.Printf("cost: load %d rounds (paid once) + MST %d rounds\n", met.LoadRounds, res.Metrics.Rounds)
+		}
+		return c.WriteTrace()
+	})
 }

@@ -1,53 +1,31 @@
-// Command kmstream replays a batched edge-update stream against a dynamic
-// k-machine session and reports per-batch costs: rounds to apply the
-// batch, rounds to answer the connectivity query incrementally, and —
-// for comparison — the rounds a fresh static Connectivity run costs on
-// the same snapshot. Query answers are checked against the sequential
-// oracle.
+// Command kmstream replays a batched edge-update stream against a
+// resident Cluster (ApplyBatch, then an incremental Connectivity query)
+// and reports per-batch rounds next to the rounds a fresh static
+// Connectivity run costs on the same snapshot, checking every answer
+// against the sequential oracle.
 //
 // Usage:
 //
-//	kmstream [-gen churn|window|splitmerge]
-//	         [-n 10000] [-m 30000] [-batches 10] [-batchsize 300]
-//	         [-delfrac 0.5] [-window 30000] [-comps 8]
-//	         [-k 8] [-seed 1] [-timeout 0]
-//	         [-static every|first|off] [-oracle]
+//	kmstream [-gen churn|window|splitmerge] [-n 10000] [-m 30000]
+//	         [-batches 10] [-batchsize 300] [-delfrac 0.5] [-window 30000] [-comps 8]
+//	         [-static every|first|off] [-oracle] [-k 8] [-seed 1] [-timeout 0]
 //
-// The acceptance workload of the dynamic subsystem is the default: a
-// 10k-vertex graph under 1% churn batches, where incremental per-batch
-// rounds must come in strictly below the fresh static run.
+// The default is the acceptance workload: a 10k-vertex graph under 1%
+// churn batches, where incremental per-batch rounds must come in
+// strictly below the fresh static run.
 package main
 
 import (
-	"context"
-	"flag"
+	"cmp"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
 
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
-
-func buildStream(gen string, n, m, batches, batchSize, window, comps int, delFrac float64, seed int64) (*kmgraph.UpdateStream, error) {
-	switch gen {
-	case "churn":
-		return kmgraph.RandomChurnStream(n, m, batches, batchSize, delFrac, seed), nil
-	case "window":
-		return kmgraph.SlidingWindowStream(n, window, batches, batchSize, seed), nil
-	case "splitmerge":
-		return kmgraph.SplitMergeStream(n, comps, batches, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown stream generator %q", gen)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // oracleCheck compares a query answer against the sequential oracle on
 // the snapshot: component count and the full partition.
@@ -70,126 +48,123 @@ func oracleCheck(snap *kmgraph.Graph, q *kmgraph.QueryResult) bool {
 	return true
 }
 
-func main() {
-	gen := flag.String("gen", "churn", "stream generator: churn|window|splitmerge")
-	n := flag.Int("n", 10_000, "vertices")
-	m := flag.Int("m", 0, "initial edges (churn; default 3n)")
-	batches := flag.Int("batches", 10, "number of update batches")
-	batchSize := flag.Int("batchsize", 0, "ops per batch (default 1% of m)")
-	delFrac := flag.Float64("delfrac", 0.5, "deletion fraction (churn)")
-	window := flag.Int("window", 0, "live-edge window (window; default 3n)")
-	comps := flag.Int("comps", 8, "component blocks (splitmerge)")
-	k := flag.Int("k", 8, "machines")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "per-job deadline (0 = none), e.g. 30s")
-	static := flag.String("static", "every", "compare against a fresh static run: every|first|off")
-	oracle := flag.Bool("oracle", true, "check every query against the sequential oracle")
-	flag.Parse()
-
-	if *m == 0 {
-		*m = 3 * *n
-	}
-	if *window == 0 {
-		*window = 3 * *n
-	}
-	if *batchSize == 0 {
-		*batchSize = *m / 100
-	}
-	stream, err := buildStream(*gen, *n, *m, *batches, *batchSize, *window, *comps, *delFrac, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	sess, err := kmgraph.NewCluster(stream.Initial, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer sess.Close()
-
-	fmt.Printf("stream: %s n=%d m0=%d batches=%d; cluster: k=%d B=%d bits/link/round, load %d rounds\n",
-		*gen, stream.Initial.N(), stream.Initial.M(), len(stream.Batches), *k,
-		kmgraph.DefaultBandwidth(stream.Initial.N()), sess.Metrics().LoadRounds)
-
-	ctx, cancel := jobCtx(*timeout)
-	q, err := sess.Connectivity(ctx)
-	cancel()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "build-up query:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("build-up query: %d rounds, %d phases, %d components\n\n",
-		q.Rounds, q.Phases, q.Components)
-
-	fmt.Printf("%-6s %-5s %-6s %-7s %-7s %-7s %-9s %-6s %-7s %-8s %-7s\n",
-		"batch", "ops", "apply", "query", "phases", "dirty", "comps", "edges", "static", "speedup", "oracle")
-	runStatic := func(i int) bool {
-		return *static == "every" || (*static == "first" && i == 0)
-	}
-	snap := stream.Initial
-	ok := true
-	var sumApply, sumQuery, sumStatic, nStatic int
-	for i, ops := range stream.Batches {
-		ctx, cancel := jobCtx(*timeout)
-		br, err := sess.ApplyBatch(ctx, ops)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batch %d: %v\n", i, err)
-			os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("kmstream", stdout, stderr)
+	fs := c.Flags
+	gen := fs.String("gen", "churn", "stream generator: churn|window|splitmerge")
+	n := fs.Int("n", 10_000, "vertices")
+	m := fs.Int("m", 0, "initial edges (churn; default 3n)")
+	batches := fs.Int("batches", 10, "number of update batches")
+	batchSize := fs.Int("batchsize", 0, "ops per batch (default 1% of m)")
+	delFrac := fs.Float64("delfrac", 0.5, "deletion fraction (churn)")
+	window := fs.Int("window", 0, "live-edge window (window; default 3n)")
+	comps := fs.Int("comps", 8, "component blocks (splitmerge)")
+	static := fs.String("static", "every", "compare against a fresh static run: every|first|off")
+	oracle := fs.Bool("oracle", true, "check every query against the sequential oracle")
+	return c.Run(args, func() error {
+		*m = cmp.Or(*m, 3*(*n))
+		*window = cmp.Or(*window, 3*(*n))
+		*batchSize = cmp.Or(*batchSize, *m/100)
+		var stream *kmgraph.UpdateStream
+		switch maxM := *n * (*n - 1) / 2; {
+		case *n < 2:
+			return cli.Usagef("stream needs more vertices than n=%d", *n)
+		case *static != "every" && *static != "first" && *static != "off":
+			return cli.Usagef("unknown -static mode %q", *static)
+		case *gen == "churn" && (*m < 0 || *m > maxM):
+			return cli.Usagef("m=%d out of range for n=%d: want 0 <= m <= n(n-1)/2 = %d", *m, *n, maxM)
+		case *gen == "churn":
+			stream = kmgraph.RandomChurnStream(*n, *m, *batches, *batchSize, *delFrac, c.Seed)
+		case *gen == "window":
+			stream = kmgraph.SlidingWindowStream(*n, *window, *batches, *batchSize, c.Seed)
+		case *gen == "splitmerge" && (*comps < 2 || *n < 2*(*comps)):
+			return cli.Usagef("splitmerge needs 2 <= comps <= n/2 (got comps=%d, n=%d)", *comps, *n)
+		case *gen == "splitmerge":
+			stream = kmgraph.SplitMergeStream(*n, *comps, *batches, c.Seed)
+		default:
+			return cli.Usagef("unknown stream generator %q", *gen)
 		}
-		snap = kmgraph.ApplyOps(snap, ops)
-		ctx, cancel = jobCtx(*timeout)
+
+		sess, err := kmgraph.NewCluster(stream.Initial, c.ClusterOptions()...)
+		if err != nil {
+			return err
+		}
+		defer sess.Close()
+
+		c.Printf("stream: %s n=%d m0=%d batches=%d; cluster: k=%d B=%d bits/link/round, load %d rounds\n",
+			*gen, stream.Initial.N(), stream.Initial.M(), len(stream.Batches), c.K,
+			kmgraph.DefaultBandwidth(stream.Initial.N()), sess.Metrics().LoadRounds)
+
+		ctx, cancel := c.Context()
 		q, err := sess.Connectivity(ctx)
 		cancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "query %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("build-up query: %w", err)
 		}
-		sumApply += br.Rounds
-		sumQuery += q.Rounds
+		c.Printf("build-up query: %d rounds, %d phases, %d components\n\n",
+			q.Rounds, q.Phases, q.Components)
 
-		staticCell, speedupCell := "-", "-"
-		if runStatic(i) {
-			st, err := kmgraph.Connectivity(snap, kmgraph.Config{K: *k, Seed: *seed})
+		c.Printf("%-6s %-5s %-6s %-7s %-7s %-7s %-9s %-6s %-7s %-8s %-7s\n",
+			"batch", "ops", "apply", "query", "phases", "dirty", "comps", "edges", "static", "speedup", "oracle")
+		snap := stream.Initial
+		ok := true
+		var sumApply, sumQuery, sumStatic, nStatic int
+		for i, ops := range stream.Batches {
+			ctx, cancel := c.Context()
+			br, err := sess.ApplyBatch(ctx, ops)
+			cancel()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "static run %d: %v\n", i, err)
-				os.Exit(1)
+				return fmt.Errorf("batch %d: %w", i, err)
 			}
-			sumStatic += st.Metrics.Rounds
-			nStatic++
-			staticCell = fmt.Sprintf("%d", st.Metrics.Rounds)
-			speedupCell = fmt.Sprintf("%.1fx", float64(st.Metrics.Rounds)/float64(br.Rounds+q.Rounds))
-			if q.Components != st.Components {
-				ok = false
+			snap = kmgraph.ApplyOps(snap, ops)
+			ctx, cancel = c.Context()
+			q, err := sess.Connectivity(ctx)
+			cancel()
+			if err != nil {
+				return fmt.Errorf("query %d: %w", i, err)
 			}
-		}
-		oracleCell := "-"
-		if *oracle {
-			if oracleCheck(snap, q) {
-				oracleCell = "ok"
-			} else {
-				oracleCell = "MISMATCH"
-				ok = false
-			}
-		}
-		fmt.Printf("%-6d %-5d %-6d %-7d %-7d %-7d %-9d %-6d %-7s %-8s %-7s\n",
-			i, len(ops), br.Rounds, q.Rounds, q.Phases, q.RelabeledVertices,
-			q.Components, snap.M(), staticCell, speedupCell, oracleCell)
-	}
+			sumApply += br.Rounds
+			sumQuery += q.Rounds
 
-	fmt.Printf("\ntotals: apply=%d rounds, query=%d rounds over %d batches (mean %.1f + %.1f per batch)\n",
-		sumApply, sumQuery, len(stream.Batches),
-		float64(sumApply)/float64(len(stream.Batches)),
-		float64(sumQuery)/float64(len(stream.Batches)))
-	if nStatic > 0 {
-		fmt.Printf("static: mean %.1f rounds per snapshot; incremental speedup %.1fx\n",
-			float64(sumStatic)/float64(nStatic),
-			float64(sumStatic)/float64(nStatic)/
-				(float64(sumApply+sumQuery)/float64(len(stream.Batches))))
-	}
-	if !ok {
-		fmt.Fprintln(os.Stderr, "FAILED: query answers diverged from oracle/static results")
-		os.Exit(1)
-	}
+			staticCell, speedupCell := "-", "-"
+			if *static == "every" || (*static == "first" && i == 0) {
+				st, err := kmgraph.Connectivity(snap, kmgraph.Config{K: c.K, Seed: c.Seed})
+				if err != nil {
+					return fmt.Errorf("static run %d: %w", i, err)
+				}
+				sumStatic += st.Metrics.Rounds
+				nStatic++
+				staticCell = fmt.Sprintf("%d", st.Metrics.Rounds)
+				speedupCell = fmt.Sprintf("%.1fx", float64(st.Metrics.Rounds)/float64(br.Rounds+q.Rounds))
+				if q.Components != st.Components {
+					ok = false
+				}
+			}
+			oracleCell := "-"
+			if *oracle {
+				if oracleCheck(snap, q) {
+					oracleCell = "ok"
+				} else {
+					oracleCell = "MISMATCH"
+					ok = false
+				}
+			}
+			c.Printf("%-6d %-5d %-6d %-7d %-7d %-7d %-9d %-6d %-7s %-8s %-7s\n",
+				i, len(ops), br.Rounds, q.Rounds, q.Phases, q.RelabeledVertices,
+				q.Components, snap.M(), staticCell, speedupCell, oracleCell)
+		}
+
+		nb := float64(len(stream.Batches))
+		c.Printf("\ntotals: apply=%d rounds, query=%d rounds over %d batches (mean %.1f + %.1f per batch)\n",
+			sumApply, sumQuery, len(stream.Batches), float64(sumApply)/nb, float64(sumQuery)/nb)
+		if nStatic > 0 {
+			c.Printf("static: mean %.1f rounds per snapshot; incremental speedup %.1fx\n",
+				float64(sumStatic)/float64(nStatic),
+				float64(sumStatic)/float64(nStatic)/(float64(sumApply+sumQuery)/nb))
+		}
+		if !ok {
+			return fmt.Errorf("FAILED: query answers diverged from oracle/static results")
+		}
+		return nil
+	})
 }

@@ -10,105 +10,81 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"kmgraph"
+	"kmgraph/internal/cli"
 )
 
-// jobCtx maps the -timeout flag to a job context (0 = no deadline).
-func jobCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout > 0 {
-		return context.WithTimeout(context.Background(), timeout)
-	}
-	return context.WithCancel(context.Background())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	problem := flag.String("problem", "bipartite", "bipartite|cycle|scs|stconn|cut|all")
-	n := flag.Int("n", 1024, "instance size")
-	k := flag.Int("k", 8, "machines")
-	seed := flag.Int64("seed", 1, "seed")
-	timeout := flag.Duration("timeout", 0, "per-job deadline (0 = none), e.g. 30s")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("kmverify", stdout, stderr)
 	// One instance serves every problem: a two-community graph with a
 	// known bridge structure exercises all the reductions.
-	g := kmgraph.TwoCliquesBridged(*n/2, 2, *seed)
-	var bridgeSet []kmgraph.Edge
-	for _, e := range g.Edges() {
-		if (e.U < *n/2) != (e.V < *n/2) {
-			bridgeSet = append(bridgeSet, e)
-		}
-	}
-	tree, _ := kmgraph.MSTOracle(g)
-
-	type job struct {
-		name string
-		p    kmgraph.Problem
-		args kmgraph.VerifyArgs
-		desc string
-	}
-	jobs := map[string]job{
-		"bipartite": {
-			name: "bipartite", p: kmgraph.ProblemBipartiteness,
-			desc: fmt.Sprintf("bipartiteness (oracle: %v)", kmgraph.IsBipartiteOracle(g)),
-		},
-		"cycle": {
-			name: "cycle", p: kmgraph.ProblemCycleContainment,
-			desc: "cycle containment",
-		},
-		"scs": {
-			name: "scs", p: kmgraph.ProblemSpanningConnectedSubgraph,
-			args: kmgraph.VerifyArgs{H: tree},
-			desc: "spanning connected subgraph: a spanning tree",
-		},
-		"stconn": {
-			name: "stconn", p: kmgraph.ProblemSTConnectivity,
-			args: kmgraph.VerifyArgs{S: 0, T: g.N() - 1},
-			desc: fmt.Sprintf("s-t connectivity between 0 and %d", g.N()-1),
-		},
-		"cut": {
-			name: "cut", p: kmgraph.ProblemCut,
-			args: kmgraph.VerifyArgs{Cut: bridgeSet},
-			desc: fmt.Sprintf("cut verification: the %d bridges", len(bridgeSet)),
-		},
-	}
-	order := []string{"bipartite", "cycle", "scs", "stconn", "cut"}
-	var selected []job
-	if *problem == "all" {
-		for _, name := range order {
-			selected = append(selected, jobs[name])
-		}
-	} else if j, ok := jobs[*problem]; ok {
-		selected = []job{j}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown problem %q\n", *problem)
-		os.Exit(1)
-	}
-
-	cl, err := kmgraph.NewCluster(g, kmgraph.WithK(*k), kmgraph.WithSeed(*seed))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer cl.Close()
-	fmt.Printf("graph: two bridged cliques, n=%d m=%d; k=%d, load %d rounds (paid once)\n",
-		g.N(), g.M(), *k, cl.Metrics().LoadRounds)
-
-	for _, j := range selected {
-		ctx, cancel := jobCtx(*timeout)
-		out, err := cl.Verify(ctx, j.p, j.args)
-		cancel()
+	in := c.Input(cli.Input{Gen: "bridged", N: 1024, C: 2}, "n")
+	problem := c.Flags.String("problem", "bipartite", "bipartite|cycle|scs|stconn|cut|all")
+	return c.Run(args, func() error {
+		g, err := in.Graph()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("%-10s %s\n", j.name+":", j.desc)
-		fmt.Printf("           verdict: %v  cost: %d runs, %d rounds\n",
-			out.Holds, out.Runs, out.Rounds)
-	}
+		n := in.N
+		var bridgeSet []kmgraph.Edge
+		for _, e := range g.Edges() {
+			if (e.U < n/2) != (e.V < n/2) {
+				bridgeSet = append(bridgeSet, e)
+			}
+		}
+		tree, _ := kmgraph.MSTOracle(g)
+
+		jobs := []struct {
+			name string
+			p    kmgraph.Problem
+			args kmgraph.VerifyArgs
+			desc string
+		}{
+			{"bipartite", kmgraph.ProblemBipartiteness, kmgraph.VerifyArgs{},
+				fmt.Sprintf("bipartiteness (oracle: %v)", kmgraph.IsBipartiteOracle(g))},
+			{"cycle", kmgraph.ProblemCycleContainment, kmgraph.VerifyArgs{}, "cycle containment"},
+			{"scs", kmgraph.ProblemSpanningConnectedSubgraph, kmgraph.VerifyArgs{H: tree},
+				"spanning connected subgraph: a spanning tree"},
+			{"stconn", kmgraph.ProblemSTConnectivity, kmgraph.VerifyArgs{S: 0, T: g.N() - 1},
+				fmt.Sprintf("s-t connectivity between 0 and %d", g.N()-1)},
+			{"cut", kmgraph.ProblemCut, kmgraph.VerifyArgs{Cut: bridgeSet},
+				fmt.Sprintf("cut verification: the %d bridges", len(bridgeSet))},
+		}
+		selected := jobs[:0]
+		for _, j := range jobs {
+			if *problem == "all" || *problem == j.name {
+				selected = append(selected, j)
+			}
+		}
+		if len(selected) == 0 {
+			return cli.Usagef("unknown problem %q", *problem)
+		}
+
+		cl, err := kmgraph.NewCluster(g, c.ClusterOptions()...)
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		c.Printf("graph: two bridged cliques, n=%d m=%d; k=%d, load %d rounds (paid once)\n",
+			g.N(), g.M(), c.K, cl.Metrics().LoadRounds)
+
+		for _, j := range selected {
+			ctx, cancel := c.Context()
+			out, err := cl.Verify(ctx, j.p, j.args)
+			cancel()
+			if err != nil {
+				return fmt.Errorf("%s: %w", j.name, err)
+			}
+			c.Printf("%-10s %s\n", j.name+":", j.desc)
+			c.Printf("           verdict: %v  cost: %d runs, %d rounds\n",
+				out.Holds, out.Runs, out.Rounds)
+		}
+		return nil
+	})
 }

@@ -11,6 +11,7 @@ package kmgraph
 // tuning knob.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -131,31 +132,30 @@ func TestGoldenMSTMetrics(t *testing.T) {
 
 func TestGoldenDynamicMetrics(t *testing.T) {
 	stream := RandomChurnStream(128, 384, 6, 12, 0.4, 7)
-	sess, err := NewDynamic(stream.Initial, DynamicConfig{K: 4, Seed: 7})
+	ctx := context.Background()
+	c, err := NewCluster(stream.Initial, WithK(4), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	var trace string
 	for i, batch := range stream.Batches {
-		br, err := sess.ApplyBatch(batch)
+		br, err := c.ApplyBatch(ctx, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := sess.Query()
+		q, err := c.Connectivity(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trace += fmt.Sprintf("[%d:%d/%d/%d]", i, br.Applied, q.Components, q.Rounds)
 	}
-	met, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := c.Metrics().Total
 	const wantTrace = "[0:12/1/264][1:12/1/71][2:12/1/50][3:12/1/45][4:12/1/66][5:12/1/24]"
 	if trace != wantTrace {
 		t.Errorf("dynamic trace drifted:\n got:  %s\n want: %s", trace, wantTrace)
 	}
-	checkGolden(t, "dynamic", met, goldenMetrics{
+	checkGolden(t, "dynamic", &met, goldenMetrics{
 		rounds: 534, messages: 5730, payload: 239202,
 		maxLink: 175936, totalBits: 1816896, fingerprint: 17654665923677721495,
 	})

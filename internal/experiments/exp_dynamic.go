@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kmgraph/internal/core"
-	"kmgraph/internal/dynamic"
 	"kmgraph/internal/graph"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/stats"
 )
 
@@ -53,7 +54,7 @@ func runDynamic(p Params) ([]*stats.Table, error) {
 		"workload", "k", "buildup", "apply/batch", "query/batch", "static/batch", "speedup", "phases", "dirty")
 	for _, wl := range workloads {
 		for _, k := range ks {
-			row, err := runDynamicConfig(wl, n, m, batches, batchSize, k, p.Seed)
+			row, err := runDynamicWorkload(wl, n, m, batches, batchSize, k, p.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -65,26 +66,27 @@ func runDynamic(p Params) ([]*stats.Table, error) {
 	return []*stats.Table{tb}, nil
 }
 
-func runDynamicConfig(wl dynWorkload, n, m, batches, batchSize, k int, seed int64) ([]string, error) {
+func runDynamicWorkload(wl dynWorkload, n, m, batches, batchSize, k int, seed int64) ([]string, error) {
 	s := wl.stream(n, m, batches, batchSize, seed)
-	sess, err := dynamic.NewSession(s.Initial, dynamic.Config{K: k, Seed: seed})
+	ctx := context.Background()
+	e, err := resident.New(s.Initial, resident.Config{K: k, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	defer sess.Close()
-	buildup, err := sess.Query()
+	defer e.Close()
+	buildup, err := e.Query(ctx)
 	if err != nil {
 		return nil, err
 	}
 	snap := s.Initial
 	var apply, query, static, phases, dirty float64
 	for i, ops := range s.Batches {
-		br, err := sess.ApplyBatch(ops)
+		br, err := e.ApplyBatch(ctx, ops)
 		if err != nil {
 			return nil, err
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := e.Query(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -10,10 +10,12 @@ import (
 // Streaming generator sources: deterministic random-graph generators
 // that implement EdgeSource without ever materializing a Graph, so
 // cmd/kmconvert can write million-vertex stores whose peak memory is the
-// dedup set (one uint64 per edge), not the adjacency. They are distinct
-// families from the Builder-based generators (same models, different
-// edge sequences): converting a stream and generating in memory with the
-// same seed produce different — equally valid — graphs.
+// dedup set (one uint64 per edge), not the adjacency. They share the
+// models of the Builder-based generators but not always the sample:
+// StreamGNM draws exactly the edges of the in-memory GNM with the same
+// seed while m <= n(n-1)/4, and a different — equally valid — graph
+// above it, where GNM samples the complement instead. The other streams
+// (RMAT, power-law) are distinct samples altogether.
 //
 // Each source replays exactly the same edge sequence after Reset (the
 // RNG is re-seeded and the dedup set rebuilt), which is what the

@@ -1,6 +1,7 @@
-package dynamic
+package resident
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -48,18 +49,15 @@ func assertMatchesOracle(t *testing.T, g *graph.Graph, q *QueryResult) {
 	}
 }
 
-// replay runs a stream through a session, checking every batch's result
+// replay runs a stream through an engine, checking every batch's result
 // and every query against the oracle snapshot; it returns the per-batch
 // results for further assertions.
 func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*QueryResult) {
 	t.Helper()
-	sess, err := NewSession(s.Initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	ctx := context.Background()
+	e := mustEngine(t, s.Initial, cfg)
 	snap := s.Initial
-	if q, err := sess.Query(); err != nil {
+	if q, err := e.Query(ctx); err != nil {
 		t.Fatal(err)
 	} else {
 		assertMatchesOracle(t, snap, q)
@@ -67,7 +65,7 @@ func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*Query
 	var brs []*BatchResult
 	var qrs []*QueryResult
 	for i, ops := range s.Batches {
-		br, err := sess.ApplyBatch(ops)
+		br, err := e.ApplyBatch(ctx, ops)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -75,7 +73,7 @@ func replay(t *testing.T, s *graph.Stream, cfg Config) ([]*BatchResult, []*Query
 			t.Fatalf("batch %d: clean stream saw rejections: %+v", i, br)
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := e.Query(ctx)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -121,18 +119,13 @@ func TestCoinMergeAndLevelWise(t *testing.T) {
 	replay(t, s, Config{K: 3, Seed: 7, CollapseLevelWise: true})
 }
 
-// TestStaticEquivalence pins the "static run = one-shot dynamic session"
-// property: a session queried once on its initial graph answers exactly
+// TestStaticEquivalence pins the "static run = one-shot dynamic query"
+// property: an engine queried once on its initial graph answers exactly
 // what the static algorithm and the oracle answer.
 func TestStaticEquivalence(t *testing.T) {
 	g := graph.GNM(400, 700, 3)
-	cfg := Config{K: 5, Seed: 13}
-	sess, err := NewSession(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	q, err := sess.Query()
+	e := mustEngine(t, g, Config{K: 5, Seed: 13})
+	q, err := e.Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +140,12 @@ func TestStaticEquivalence(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	g := graph.Path(50) // 0-1-...-49
-	sess, err := NewSession(g, Config{K: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
+	e := mustEngine(t, g, Config{K: 3, Seed: 2})
 
 	// Empty batch.
-	br, err := sess.ApplyBatch(nil)
+	br, err := e.ApplyBatch(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +154,7 @@ func TestEdgeCases(t *testing.T) {
 	}
 
 	// Duplicate insert, delete of a non-existent edge, invalid ops.
-	br, err = sess.ApplyBatch([]graph.EdgeOp{
+	br, err = e.ApplyBatch(ctx, []graph.EdgeOp{
 		{U: 0, V: 1, W: 1},          // duplicate: path already has it
 		{Del: true, U: 0, V: 2},     // absent edge
 		{U: 7, V: 7, W: 1},          // self-loop
@@ -178,7 +168,7 @@ func TestEdgeCases(t *testing.T) {
 	if *br != want {
 		t.Fatalf("got %+v, want %+v", *br, want)
 	}
-	q, err := sess.Query()
+	q, err := e.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +176,7 @@ func TestEdgeCases(t *testing.T) {
 
 	// Delete-then-reinsert within one batch: net no-op on the graph, both
 	// ops applied, and connectivity intact.
-	br, err = sess.ApplyBatch([]graph.EdgeOp{
+	br, err = e.ApplyBatch(ctx, []graph.EdgeOp{
 		{Del: true, U: 24, V: 25},
 		{U: 24, V: 25, W: 1},
 	})
@@ -196,7 +186,7 @@ func TestEdgeCases(t *testing.T) {
 	if br.Applied != 2 || br.RejectedDeletes+br.RejectedInserts != 0 {
 		t.Fatalf("delete-then-reinsert: %+v", br)
 	}
-	q, err = sess.Query()
+	q, err = e.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,20 +196,20 @@ func TestEdgeCases(t *testing.T) {
 	}
 
 	// Reinsert-after-query of a previously deleted forest edge.
-	if _, err := sess.ApplyBatch([]graph.EdgeOp{{Del: true, U: 10, V: 11}}); err != nil {
+	if _, err := e.ApplyBatch(ctx, []graph.EdgeOp{{Del: true, U: 10, V: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	q, err = sess.Query()
+	q, err = e.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Components != 2 {
 		t.Fatalf("after split: components = %d, want 2", q.Components)
 	}
-	if _, err := sess.ApplyBatch([]graph.EdgeOp{{U: 10, V: 11, W: 1}}); err != nil {
+	if _, err := e.ApplyBatch(ctx, []graph.EdgeOp{{U: 10, V: 11, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	q, err = sess.Query()
+	q, err = e.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +220,17 @@ func TestEdgeCases(t *testing.T) {
 }
 
 // TestDeterminism: identical seeds must reproduce identical results —
-// including round counts — across separate sessions.
+// including round counts — across separate engines.
 func TestDeterminism(t *testing.T) {
 	s := graph.RandomChurnStream(200, 400, 4, 25, 0.5, 31)
 	cfg := Config{K: 4, Seed: 19}
 	br1, qr1 := replay(t, s, cfg)
 	br2, qr2 := replay(t, s, cfg)
 	if !reflect.DeepEqual(br1, br2) {
-		t.Fatalf("batch results differ across identical sessions:\n%+v\n%+v", br1, br2)
+		t.Fatalf("batch results differ across identical engines:\n%+v\n%+v", br1, br2)
 	}
 	if !reflect.DeepEqual(qr1, qr2) {
-		t.Fatal("query results differ across identical sessions")
+		t.Fatal("query results differ across identical engines")
 	}
 }
 
@@ -251,22 +241,18 @@ func TestDeterminism(t *testing.T) {
 func TestIncrementalCheaperThanStatic(t *testing.T) {
 	n, m, k := 1000, 3000, 8
 	s := graph.RandomChurnStream(n, m, 3, m/100, 0.5, 41)
-	cfg := Config{K: k, Seed: 47}
-	sess, err := NewSession(s.Initial, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.Query(); err != nil { // initial build-up
+	ctx := context.Background()
+	e := mustEngine(t, s.Initial, Config{K: k, Seed: 47})
+	if _, err := e.Query(ctx); err != nil { // initial build-up
 		t.Fatal(err)
 	}
 	snap := s.Initial
 	for i, ops := range s.Batches {
-		if _, err := sess.ApplyBatch(ops); err != nil {
+		if _, err := e.ApplyBatch(ctx, ops); err != nil {
 			t.Fatal(err)
 		}
 		snap = graph.ApplyOps(snap, ops)
-		q, err := sess.Query()
+		q, err := e.Query(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,27 +272,28 @@ func TestIncrementalCheaperThanStatic(t *testing.T) {
 
 // TestSessionLifecycle checks Close idempotence and post-close errors.
 func TestSessionLifecycle(t *testing.T) {
-	sess, err := NewSession(graph.Cycle(30), Config{K: 2, Seed: 1})
+	ctx := context.Background()
+	e, err := New(graph.Cycle(30), Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Query(); err != nil {
+	if _, err := e.Query(ctx); err != nil {
 		t.Fatal(err)
 	}
-	met, err := sess.Close()
+	met, err := e.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if met.Rounds <= 0 || met.DroppedMessages != 0 {
-		t.Fatalf("bad session metrics: %+v", met)
+		t.Fatalf("bad engine metrics: %+v", met)
 	}
-	if _, err := sess.ApplyBatch(nil); err != ErrClosed {
+	if _, err := e.ApplyBatch(ctx, nil); err != ErrClosed {
 		t.Fatalf("ApplyBatch after close: %v", err)
 	}
-	if _, err := sess.Query(); err != ErrClosed {
+	if _, err := e.Query(ctx); err != ErrClosed {
 		t.Fatalf("Query after close: %v", err)
 	}
-	if _, err := sess.Close(); err != nil {
+	if _, err := e.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 }

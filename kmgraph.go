@@ -18,7 +18,8 @@
 //   - A dynamic-graph subsystem: batched edge insert/delete streams with
 //     incrementally maintained linear sketches, answering connectivity /
 //     component-count / spanning-forest queries between batches at a
-//     fraction of a static re-run's rounds (NewDynamic, cmd/kmstream).
+//     fraction of a static re-run's rounds (Cluster.ApplyBatch,
+//     cmd/kmstream).
 //   - A deterministic k-machine engine with per-link bandwidth accounting,
 //     so every reported cost is the model's round complexity.
 //
@@ -65,9 +66,9 @@
 // # Migration note: one-shot functions
 //
 // The original one-shot entry points — Connectivity(g, cfg), MST(g, cfg),
-// SpanningTree, ApproxMinCut, the Verify* functions, and NewDynamic —
-// remain fully supported; each builds a fresh cluster, pays the load for
-// a single run, and tears it down. Prefer them for experiments and
+// SpanningTree, ApproxMinCut, and the Verify* functions — remain fully
+// supported; each builds a fresh cluster, pays the load for a single
+// run, and tears it down. Prefer them for experiments and
 // ablations (they expose per-run knobs like EdgeCheckSelection and
 // CountComponents); prefer NewCluster whenever more than one question is
 // asked of the same graph, under churn, or when jobs need deadlines and
@@ -84,13 +85,13 @@ import (
 	"kmgraph/internal/baseline"
 	"kmgraph/internal/congested"
 	"kmgraph/internal/core"
-	"kmgraph/internal/dynamic"
 	"kmgraph/internal/experiments"
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/lowerbound"
 	"kmgraph/internal/mincut"
 	"kmgraph/internal/rep"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
 	"kmgraph/internal/verify"
 )
@@ -266,7 +267,7 @@ func SpanningTree(g *Graph, cfg Config) (*MSTResult, error) {
 type EdgeOp = graph.EdgeOp
 
 // UpdateStream is a batched update stream: an initial graph plus batches
-// of edge operations, for replay against a dynamic session.
+// of edge operations, for replay against a Cluster via ApplyBatch.
 type UpdateStream = graph.Stream
 
 // Update-stream generators and helpers (all deterministic in their seed).
@@ -284,38 +285,17 @@ var (
 	ApplyOps = graph.ApplyOps
 )
 
-// DynamicConfig parameterizes a dynamic session.
-type DynamicConfig = dynamic.Config
+// BatchResult reports one update batch applied by Cluster.ApplyBatch.
+type BatchResult = resident.BatchResult
 
-// Dynamic is a live dynamic-graph session: the graph stays resident
-// across the k-machine cluster, per-part linear sketches are maintained
-// incrementally under batched edge insertions and deletions (AddItem's ±1
-// linearity), and connectivity/component-count/spanning-forest queries
-// between batches re-run only the merge/DRR phases from a certificate of
-// the previous answer.
-type Dynamic = dynamic.Session
+// QueryResult reports one Cluster.Connectivity query: labels, component
+// count, spanning forest, and the query's incremental cost.
+type QueryResult = resident.QueryResult
 
-// BatchResult reports one applied update batch.
-type BatchResult = dynamic.BatchResult
-
-// QueryResult reports one dynamic connectivity query.
-type QueryResult = dynamic.QueryResult
-
-// ErrNotConverged is returned by Dynamic.Query when merge phases exhaust
-// the per-query cap (persistent sketch failures); the session stays
-// usable.
-var ErrNotConverged = dynamic.ErrNotConverged
-
-// NewDynamic starts a dynamic session on g across cfg.K machines. The
-// static Connectivity algorithm is the degenerate case: a fresh session's
-// first Query runs the same merge phases from singleton labels.
-//
-// A Dynamic session is a resident Cluster restricted to ApplyBatch and
-// Query; NewCluster exposes the same residency with the full job API
-// (MST, min-cut, verification) and per-job contexts.
-func NewDynamic(g *Graph, cfg DynamicConfig) (*Dynamic, error) {
-	return dynamic.NewSession(g, cfg)
-}
+// ErrNotConverged is returned by Cluster.Connectivity when merge phases
+// exhaust the per-query cap (persistent sketch failures); the cluster
+// stays usable.
+var ErrNotConverged = resident.ErrNotConverged
 
 // MinCutConfig parameterizes the approximate min-cut.
 type MinCutConfig = mincut.Config
