@@ -1,7 +1,8 @@
 package kmgraph
 
-// The benchmark harness: one testing.B benchmark per experiment E1..E12
-// (each reproducing a paper theorem/lemma/figure; see DESIGN.md §4), plus
+// The benchmark harness: one testing.B benchmark per experiment E1..E13
+// (each reproducing a paper theorem/lemma/figure; see the catalog in
+// EXPERIMENTS.md), plus
 // direct algorithm benchmarks for profiling. The experiment benches run
 // the quick-mode sweep so `go test -bench=.` regenerates every paper
 // result end to end; `cmd/kmbench` prints the full tables.

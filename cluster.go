@@ -1,7 +1,7 @@
 // The resident Cluster API: load a graph onto k machines once, then run
 // every algorithm family as a cancellable job against that residency.
 // This is the library's serving front door; the one-shot free functions
-// (Connectivity, MST, ApproxMinCut, Verify*) remain as single-run
+// (Connectivity, MST, ApproxMinCut, Verify*) remain as single-call
 // wrappers for experiments and ablations.
 
 package kmgraph

@@ -1,5 +1,5 @@
 // Command kmbench runs the paper-reproduction experiment harness
-// (E1..E12) and prints the result tables, optionally writing CSVs.
+// (E1..E13) and prints the result tables, optionally writing CSVs.
 //
 // With -json it instead runs the engine-throughput microbenchmarks
 // (wall-clock, allocations, and model rounds for the simulator hot paths)

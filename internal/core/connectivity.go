@@ -83,7 +83,8 @@ type Config struct {
 	// FaithfulRandomness additionally distributes Θ(n/k) shared random
 	// bytes from machine 1 by relay broadcast and drives proxy selection
 	// through the d-wise independent polynomial family built from them
-	// (§2.2 faithful path; see DESIGN.md substitution #2).
+	// (§2.2 faithful path; by default one common seed stands in for the
+	// shared random bits).
 	FaithfulRandomness bool
 	// CountComponents additionally runs the paper's §2.6 output protocol:
 	// every machine reports each label it holds to that label's proxy,
@@ -203,20 +204,8 @@ func RunSourceContext(ctx context.Context, src graph.EdgeSource, cfg Config) (*R
 		return nil, err
 	}
 	cfg = cfg.withDefaults(part.N())
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := newMachine(mctx, part.View(mctx.ID()), cfg)
-		return m.run()
-	})
+	view := func(id int) GraphView { return part.View(id) }
+	res, err := runCluster(ctx, cfg, ConnectivityHandler(view, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +215,17 @@ func RunSourceContext(ctx context.Context, src graph.EdgeSource, cfg Config) (*R
 // RunWithPartitionContext is RunWithPartition with cancellation.
 func RunWithPartitionContext(ctx context.Context, g *graph.Graph, part *kmachine.VertexPartition, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults(g.N())
+	view := func(id int) GraphView { return part.View(id) }
+	res, err := runCluster(ctx, cfg, ConnectivityHandler(view, cfg))
+	if err != nil {
+		return nil, err
+	}
+	return assemble(g.N(), res)
+}
+
+// runCluster runs handler on every machine of a fresh single-process
+// cluster built from the resolved cfg.
+func runCluster(ctx context.Context, cfg Config, handler kmachine.Handler) (*kmachine.Result, error) {
 	cluster, err := kmachine.New(kmachine.Config{
 		K:                   cfg.K,
 		BandwidthBits:       cfg.BandwidthBits,
@@ -236,14 +236,7 @@ func RunWithPartitionContext(ctx context.Context, g *graph.Graph, part *kmachine
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := newMachine(mctx, part.View(mctx.ID()), cfg)
-		return m.run()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemble(g.N(), res)
+	return cluster.RunContext(ctx, handler)
 }
 
 func assemble(n int, res *kmachine.Result) (*Result, error) {

@@ -335,7 +335,7 @@ func (m *Merger) Setup() error {
 	if m.Cfg.FaithfulRandomness {
 		d := m.View.N()/m.Ctx.K() + 1
 		if d > 512 {
-			d = 512 // cap polynomial degree; see DESIGN.md substitution #2
+			d = 512 // cap the independence degree to bound host-side hash evaluation
 		}
 		if d < 8 {
 			d = 8

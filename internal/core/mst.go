@@ -92,25 +92,10 @@ func RunMST(g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
 // deadline passes, the underlying cluster aborts and ctx.Err() is
 // returned.
 func RunMSTContext(ctx context.Context, g *graph.Graph, cfg MSTConfig) (*MSTResult, error) {
-	cfg.Config = cfg.Config.withDefaults(g.N())
-	if cfg.MaxElimIters == 0 {
-		cfg.MaxElimIters = DefaultMaxElimIters(g.N())
-	}
+	cfg = cfg.WithDefaults(g.N())
 	part := kmachine.NewRVP(g, cfg.K, uint64(cfg.Seed)^0x9e37)
-	cluster, err := kmachine.New(kmachine.Config{
-		K:                   cfg.K,
-		BandwidthBits:       cfg.BandwidthBits,
-		MessageOverheadBits: cfg.MessageOverheadBits,
-		Seed:                cfg.Seed,
-		MaxRounds:           cfg.MaxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.RunContext(ctx, func(mctx *kmachine.Ctx) error {
-		m := &mstMachine{machine: newMachine(mctx, part.View(mctx.ID()), cfg.Config), mstCfg: cfg}
-		return m.run()
-	})
+	view := func(id int) GraphView { return part.View(id) }
+	res, err := runCluster(ctx, cfg.Config, MSTHandler(view, cfg))
 	if err != nil {
 		return nil, err
 	}

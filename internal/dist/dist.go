@@ -170,7 +170,9 @@ func DecodeJob(body []byte) (*Job, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if nw < 1 || nw > maxWorkers {
+	// A worker is a length-prefixed address and two varints, at least
+	// three bytes: a count the remaining bytes cannot hold is corrupt.
+	if nw < 1 || nw > maxWorkers || nw > r.Len()/3 {
 		return nil, fmt.Errorf("dist: job with %d workers", nw)
 	}
 	j.Workers = make([]WorkerSpec, nw)
@@ -357,7 +359,9 @@ func readFlight(r *wire.Reader) ([]transport.RoundFlight, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n > maxFlightRecords {
+	// A record is four fields and a link is five varints, each field at
+	// least one byte: counts the remaining bytes cannot hold are corrupt.
+	if n < 0 || n > maxFlightRecords || n > r.Len()/4 {
 		return nil, fmt.Errorf("dist: flight snapshot with %d records", n)
 	}
 	fl := make([]transport.RoundFlight, n)
@@ -369,7 +373,7 @@ func readFlight(r *wire.Reader) ([]transport.RoundFlight, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		if nl > maxWorkers {
+		if nl < 0 || nl > maxWorkers || nl > r.Len()/5 {
 			return nil, fmt.Errorf("dist: flight record with %d links", nl)
 		}
 		if nl > 0 {
@@ -423,7 +427,7 @@ func readSpans(r *wire.Reader) ([]telemetry.PhaseSpan, error) {
 	}
 	// A span is 8 varints, each at least one byte: a count the remaining
 	// bytes cannot hold is corrupt, and must not size an allocation.
-	if n > maxSpanDecode || n > r.Len()/8 {
+	if n < 0 || n > maxSpanDecode || n > r.Len()/8 {
 		return nil, fmt.Errorf("dist: span batch of %d", n)
 	}
 	spans := make([]telemetry.PhaseSpan, n)

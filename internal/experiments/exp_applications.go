@@ -1,15 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"kmgraph/internal/congested"
 	"kmgraph/internal/core"
 	"kmgraph/internal/graph"
-	"kmgraph/internal/mincut"
 	"kmgraph/internal/rep"
+	"kmgraph/internal/resident"
 	"kmgraph/internal/stats"
-	"kmgraph/internal/verify"
 )
 
 // E6: Theorem 2(a) — MST rounds vs k scale like k^-2 (weak output), with
@@ -162,7 +162,10 @@ func E8() Experiment {
 				"graph", "n", "true λ", "estimate", "ratio", "runs", "rounds")
 			for _, tc := range cases {
 				lambda := graph.MinCut(tc.g)
-				r, err := mincut.Approximate(tc.g, mincut.Config{Config: core.Config{K: 4, Seed: p.Seed}})
+				r, err := onFreshEngine(tc.g, resident.Config{K: 4, Seed: p.Seed},
+					func(ctx context.Context, e *resident.Engine) (*resident.MinCutResult, error) {
+						return e.MinCut(ctx, 0, 0)
+					})
 				if err != nil {
 					return nil, err
 				}
@@ -191,7 +194,12 @@ func E9() Experiment {
 			if p.Quick {
 				n = 256
 			}
-			cfg := core.Config{K: 4, Seed: p.Seed}
+			verifyOn := func(g *graph.Graph, pr resident.Problem, args resident.VerifyArgs) (*resident.VerifyOutcome, error) {
+				return onFreshEngine(g, resident.Config{K: 4, Seed: p.Seed},
+					func(ctx context.Context, e *resident.Engine) (*resident.VerifyOutcome, error) {
+						return e.Verify(ctx, pr, args)
+					})
+			}
 			g := graph.RandomConnected(n, 2*n, p.Seed+41)
 			tree, _ := graph.KruskalMST(g)
 			bridgedG := graph.TwoCliquesBridged(n/8, 2, p.Seed+43)
@@ -208,30 +216,31 @@ func E9() Experiment {
 				"problem", "verdict", "oracle", "match", "runs", "rounds")
 			type row struct {
 				name    string
-				out     *verify.Outcome
+				out     *resident.VerifyOutcome
 				oracle  bool
 				runsErr error
 			}
 			var rows []row
-			scs, err := verify.SpanningConnectedSubgraph(g, tree, cfg)
+			scs, err := verifyOn(g, resident.SpanningConnectedSubgraph, resident.VerifyArgs{H: tree})
 			rows = append(rows, row{"spanning connected subgraph", scs, true, err})
-			cut, err := verify.Cut(bridgedG, bridges, cfg)
+			cut, err := verifyOn(bridgedG, resident.CutVerification, resident.VerifyArgs{Cut: bridges})
 			rows = append(rows, row{"cut", cut, true, err})
-			st, err := verify.STConnectivity(g, 0, n-1, cfg)
+			st, err := verifyOn(g, resident.STConnectivity, resident.VerifyArgs{S: 0, T: n - 1})
 			rows = append(rows, row{"s-t connectivity", st, graph.SameComponent(g, 0, n-1), err})
-			eap, err := verify.EdgeOnAllPaths(graph.Path(n), 0, n-1, graph.Edge{U: n / 2, V: n/2 + 1}, cfg)
+			eap, err := verifyOn(graph.Path(n), resident.EdgeOnAllPaths,
+				resident.VerifyArgs{S: 0, T: n - 1, E: graph.Edge{U: n / 2, V: n/2 + 1}})
 			rows = append(rows, row{"edge on all paths", eap, true, err})
-			stc, err := verify.STCut(bridgedG, 0, n/8, bridges, cfg)
+			stc, err := verifyOn(bridgedG, resident.STCutVerification, resident.VerifyArgs{S: 0, T: n / 8, Cut: bridges})
 			rows = append(rows, row{"s-t cut", stc, true, err})
-			bip, err := verify.Bipartiteness(grid, cfg)
+			bip, err := verifyOn(grid, resident.Bipartiteness, resident.VerifyArgs{})
 			rows = append(rows, row{"bipartiteness (grid)", bip, true, err})
-			bip2, err := verify.Bipartiteness(odd, cfg)
+			bip2, err := verifyOn(odd, resident.Bipartiteness, resident.VerifyArgs{})
 			rows = append(rows, row{"bipartiteness (odd cycle)", bip2, false, err})
-			cyc, err := verify.CycleContainment(g, cfg)
+			cyc, err := verifyOn(g, resident.CycleContainment, resident.VerifyArgs{})
 			rows = append(rows, row{"cycle containment", cyc, graph.HasCycle(g), err})
 			probe := g.Edges()[0]
 			onCycle := graph.SameComponent(g.RemoveEdges([]graph.Edge{probe}), probe.U, probe.V)
-			ecyc, err := verify.ECycleContainment(g, probe, cfg)
+			ecyc, err := verifyOn(g, resident.ECycleContainment, resident.VerifyArgs{E: probe})
 			rows = append(rows, row{"e-cycle containment", ecyc, onCycle, err})
 
 			for _, r := range rows {
@@ -255,6 +264,19 @@ func E9() Experiment {
 			return []*stats.Table{tb}, nil
 		},
 	}
+}
+
+// onFreshEngine loads g onto a fresh resident engine, runs one job on it,
+// and closes it: the one-shot shape of the Theorem 3–4 reductions, whose
+// runs all share the load's vertex partition.
+func onFreshEngine[T any](g *graph.Graph, cfg resident.Config, job func(context.Context, *resident.Engine) (T, error)) (T, error) {
+	e, err := resident.New(g, cfg)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer e.Close()
+	return job(context.Background(), e)
 }
 
 // E12: §1.2/§1.3 — the Conversion Theorem replay and its Õ(M/k² + Δ'T/k)

@@ -1,10 +1,11 @@
 // Package experiments contains the harness that reproduces every result of
-// the paper as an executable experiment (E1–E12; see DESIGN.md §4 for the
-// experiment-to-theorem index). Each experiment sweeps the parameters the
-// corresponding theorem speaks about, runs the real algorithms on the
-// k-machine simulator over several seeds, and reports paper-style tables:
-// measured round counts, fitted scaling exponents, approximation ratios,
-// verification verdicts, and lower-bound traffic.
+// the paper as an executable experiment (E1–E13; see the catalog in
+// EXPERIMENTS.md for the experiment-to-theorem index). Each experiment
+// sweeps the parameters the corresponding theorem speaks about, runs the
+// real algorithms on the k-machine simulator over several seeds, and
+// reports paper-style tables: measured round counts, fitted scaling
+// exponents, approximation ratios, verification verdicts, and
+// lower-bound traffic.
 //
 // The paper is a theory paper, so the quantities to match are *shapes*:
 // connectivity and MST rounds falling like k^-2 while the baselines fall
@@ -46,7 +47,7 @@ func (p Params) trials() int {
 
 // Experiment is one reproducible unit of the evaluation.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E12).
+	// ID is the experiment identifier (E1..E13).
 	ID string
 	// Title is a human-readable summary.
 	Title string

@@ -293,21 +293,3 @@ func (g *Graph) RemoveEdges(remove []Edge) *Graph {
 	}
 	return g.Filter(func(e Edge) bool { return !del[EdgeID(e.U, e.V, g.n)] })
 }
-
-// DoubleCover returns the bipartite double cover of g: vertices (v, 0) and
-// (v, 1) encoded as v and v+n, with edges {(u,0),(v,1)} and {(u,1),(v,0)}
-// for every edge {u,v} of g. G is bipartite iff its double cover has
-// exactly twice as many connected components as G (used by the
-// bipartiteness verifier, §3.3 via AGM §3.3).
-func (g *Graph) DoubleCover() *Graph {
-	b := NewBuilder(2 * g.n)
-	for u := 0; u < g.n; u++ {
-		for _, h := range g.adj[u] {
-			if u < h.To {
-				b.AddEdge(u, h.To+g.n, h.W)
-				b.AddEdge(u+g.n, h.To, h.W)
-			}
-		}
-	}
-	return b.Build()
-}

@@ -137,34 +137,3 @@ func TestFromEdges(t *testing.T) {
 		t.Error("weight lost")
 	}
 }
-
-func TestDoubleCoverProperties(t *testing.T) {
-	cases := []struct {
-		name      string
-		g         *Graph
-		bipartite bool
-	}{
-		{"path", Path(10), true},
-		{"even cycle", Cycle(8), true},
-		{"odd cycle", Cycle(9), false},
-		{"complete", Complete(5), false},
-		{"star", Star(12), true},
-		{"grid", Grid(4, 5), true},
-	}
-	for _, tc := range cases {
-		d := tc.g.DoubleCover()
-		if d.N() != 2*tc.g.N() || d.M() != 2*tc.g.M() {
-			t.Errorf("%s: double cover size wrong", tc.name)
-		}
-		ccG := ComponentCount(tc.g)
-		ccD := ComponentCount(d)
-		gotBip := ccD == 2*ccG
-		if gotBip != tc.bipartite {
-			t.Errorf("%s: double-cover bipartite test = %v, want %v (ccG=%d ccD=%d)",
-				tc.name, gotBip, tc.bipartite, ccG, ccD)
-		}
-		if IsBipartite(tc.g) != tc.bipartite {
-			t.Errorf("%s: IsBipartite = %v, want %v", tc.name, IsBipartite(tc.g), tc.bipartite)
-		}
-	}
-}

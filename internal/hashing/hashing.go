@@ -3,8 +3,10 @@
 //
 //   - Fast seeded mixers (SplitMix64 finalizers) used as shared pseudo-random
 //     functions once a common seed has been distributed to all machines.
-//     These stand in for the paper's shared random bit strings (§2.2); see
-//     DESIGN.md substitution #2.
+//     These stand in for the paper's shared random bit strings (§2.2): one
+//     common seed replaces Θ(n/k) distributed random bits, and
+//     core.Config.FaithfulRandomness runs the in-model bits protocol
+//     instead.
 //   - A d-wise independent polynomial hash family over GF(2^61-1), the exact
 //     construction the paper invokes via Alon–Babai–Itai [4] and
 //     Alon et al. [5]: a degree-(d-1) polynomial with random coefficients

@@ -397,8 +397,9 @@ func (c *Comm) AllMax(x uint64) uint64 {
 
 // Shared is the shared randomness established by Setup: a seed all
 // machines agree on, from which proxy hashes h_{j,ρ}, DRR ranks, and
-// per-phase sketch matrices are derived (DESIGN.md substitution #2; the
-// faithful bulk-bits path is SetupBits).
+// per-phase sketch matrices are derived. The common seed stands in for
+// the paper's shared random bit strings (§2.2); the faithful bulk-bits
+// path is SetupBits.
 type Shared struct {
 	seed uint64
 }

@@ -4,8 +4,9 @@
 // knowledge in the model — an edge's membership is decidable at both
 // endpoints' home machines from the spec alone (an edge-ID set shipped on
 // the free control plane, a shared hash, or the double-cover construction)
-// — so deriving a view costs zero rounds, exactly like the one-shot
-// algorithms' pre-filtered inputs.
+// — so deriving a view costs zero rounds. Every run of a job shares the
+// load's vertex partition, and both double-cover copies of a vertex live
+// on its home machine.
 
 package resident
 
@@ -25,9 +26,9 @@ const (
 )
 
 // runSpec describes one derived-view connectivity run. It travels on the
-// control plane (command broadcast): like the one-shot verify package,
-// subgraph membership is local knowledge — every machine knows which of
-// its vertices' incident edges are in H.
+// control plane (command broadcast): subgraph membership is local
+// knowledge — every machine knows which of its vertices' incident edges
+// are in H.
 type runSpec struct {
 	kind             int
 	edges            map[uint64]bool // viewKeep / viewRemove, by EdgeID over n
@@ -136,7 +137,7 @@ func (m *rmachine) derive(spec *runSpec) core.GraphView {
 
 // runConfig resolves the core config a derived run uses: the double cover
 // doubles the vertex universe, so sketch dimensions and the phase cap
-// scale exactly as a one-shot run on the cover graph would size them.
+// scale as a static run on the 2n-vertex cover graph would size them.
 func (m *rmachine) runConfig(spec *runSpec) core.Config {
 	cfg := m.ccfg
 	if spec.kind == viewCover {

@@ -11,8 +11,6 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/hashing"
 	"kmgraph/internal/kmachine"
-	"kmgraph/internal/mincut"
-	"kmgraph/internal/verify"
 )
 
 // Engine is a resident k-machine cluster: the graph is loaded and
@@ -666,9 +664,12 @@ func (e *Engine) runDerived(t *jobToken, spec *runSpec) (*runOutcome, error) {
 
 // MinCut estimates the edge connectivity of the current graph within an
 // O(log n) factor (Theorem 3) by Karger-style sampling trials, each a
-// derived-view connectivity run on the residency. trials and maxLevel
-// follow mincut.Config semantics (0 selects 3 and 40).
-func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Result, error) {
+// derived-view connectivity run on the residency: trials independent
+// samples per level (0 selects 3) over at most maxLevel sampling levels
+// (0 selects 40). Edge sampling needs no coordination: a machine keeps an
+// edge iff a shared hash of (level, trial, edge ID) clears the level's
+// threshold, exactly like the sketch subsampling levels.
+func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*MinCutResult, error) {
 	if trials == 0 {
 		trials = 3
 	}
@@ -679,8 +680,8 @@ func (e *Engine) MinCut(ctx context.Context, trials, maxLevel int) (*mincut.Resu
 	if err != nil {
 		return nil, err
 	}
-	res := &mincut.Result{}
-	fail := func(err error) (*mincut.Result, error) {
+	res := &MinCutResult{}
+	fail := func(err error) (*MinCutResult, error) {
 		t.end(err)
 		return nil, err
 	}
@@ -756,13 +757,13 @@ func edgeIDSet(edges []graph.Edge, n int) map[uint64]bool {
 // Verify runs one of the Theorem 4 verification problems against the
 // current graph, each a reduction to one or two derived-view connectivity
 // runs on the residency.
-func (e *Engine) Verify(ctx context.Context, p Problem, args VerifyArgs) (*verify.Outcome, error) {
+func (e *Engine) Verify(ctx context.Context, p Problem, args VerifyArgs) (*VerifyOutcome, error) {
 	t, err := e.begin(ctx, "verify")
 	if err != nil {
 		return nil, err
 	}
-	out := &verify.Outcome{}
-	fail := func(err error) (*verify.Outcome, error) {
+	out := &VerifyOutcome{}
+	fail := func(err error) (*VerifyOutcome, error) {
 		t.end(err)
 		return nil, err
 	}

@@ -15,8 +15,7 @@ import (
 // Host command kinds. Command arrival is control plane and free; command
 // *contents* that are data (batch ops) enter only at machine 0 and are
 // distributed in-model at metered cost. Run/MST specs are public problem
-// statements (local knowledge), so they ride the control plane like the
-// one-shot algorithms' pre-filtered inputs.
+// statements (local knowledge), so they ride the control plane.
 const (
 	cmdApply = iota
 	cmdQuery

@@ -340,6 +340,34 @@ type VerifyArgs struct {
 	E graph.Edge
 }
 
+// MinCutResult is the outcome of a min-cut approximation (MinCut).
+type MinCutResult struct {
+	// Estimate is the O(log n)-approximation of the edge connectivity λ.
+	// Zero means the input graph is already disconnected.
+	Estimate float64
+	// Level is the first sampling level i (rate 2^-i) whose samples
+	// disconnected; -1 if the input itself is disconnected.
+	Level int
+	// Runs is the number of connectivity executions performed.
+	Runs int
+	// Rounds is the total k-machine rounds across all executions.
+	Rounds int
+	// Metrics is the job's engine cost across all executions.
+	Metrics kmachine.Metrics
+}
+
+// VerifyOutcome reports a verification verdict (Verify) and its cost.
+type VerifyOutcome struct {
+	// Holds is the verification verdict.
+	Holds bool
+	// Runs is the number of connectivity executions used.
+	Runs int
+	// Rounds is the total k-machine rounds across executions.
+	Rounds int
+	// Metrics is the job's engine cost across executions.
+	Metrics kmachine.Metrics
+}
+
 // ErrNotConverged is returned by a job whose merge phases exhausted
 // MaxPhasesPerQuery with components still active (persistent sketch
 // failures); the engine remains usable and the job may be retried.

@@ -146,8 +146,11 @@ func ReadMetrics(r *wire.Reader) (*Metrics, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	// Each of the k×k link cells that follow is a varint of at least one
+	// byte: a k whose matrix the remaining bytes cannot hold is corrupt,
+	// and must not size it.
 	const maxK = 1 << 16
-	if k < 0 || k > maxK {
+	if k < 0 || k > maxK || k*k > r.Len() {
 		return nil, fmt.Errorf("transport: metrics k=%d out of range", k)
 	}
 	m := NewMetrics(k)

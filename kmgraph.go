@@ -68,11 +68,15 @@
 // The original one-shot entry points — Connectivity(g, cfg), MST(g, cfg),
 // SpanningTree, ApproxMinCut, and the Verify* functions — remain fully
 // supported; each builds a fresh cluster, pays the load for a single
-// run, and tears it down. Prefer them for experiments and
-// ablations (they expose per-run knobs like EdgeCheckSelection and
-// CountComponents); prefer NewCluster whenever more than one question is
-// asked of the same graph, under churn, or when jobs need deadlines and
-// cancellation (the one-shot API takes no context).
+// call, and tears it down. ApproxMinCut and Verify* run on a fresh
+// resident cluster: the result equals NewCluster(g, WithK(cfg.K),
+// WithSeed(cfg.Seed)) plus the matching Cluster method. The per-run knobs
+// EdgeCheckSelection and CountComponents apply to Connectivity only
+// (ApproxMinCut and Verify* reject them as invalid configuration, as they
+// do K > n). Prefer the one-shot functions for experiments and ablations;
+// prefer NewCluster whenever more than one question is asked of the same
+// graph, under churn, or when jobs need deadlines and cancellation (the
+// one-shot API takes no context).
 //
 // The experiment harness reproducing every theorem is available via
 // AllExperiments and the cmd/kmbench tool; EXPERIMENTS.md records
@@ -80,6 +84,8 @@
 package kmgraph
 
 import (
+	"context"
+	"fmt"
 	"io"
 
 	"kmgraph/internal/baseline"
@@ -89,11 +95,9 @@ import (
 	"kmgraph/internal/graph"
 	"kmgraph/internal/kmachine"
 	"kmgraph/internal/lowerbound"
-	"kmgraph/internal/mincut"
 	"kmgraph/internal/rep"
 	"kmgraph/internal/resident"
 	"kmgraph/internal/store"
-	"kmgraph/internal/verify"
 )
 
 // Graph is an immutable undirected (optionally weighted) input graph.
@@ -297,45 +301,116 @@ type QueryResult = resident.QueryResult
 // stays usable.
 var ErrNotConverged = resident.ErrNotConverged
 
-// MinCutConfig parameterizes the approximate min-cut.
-type MinCutConfig = mincut.Config
+// MinCutConfig parameterizes the one-shot approximate min-cut.
+type MinCutConfig struct {
+	Config
+	// Trials is the number of independent samples per level (0 => 3).
+	Trials int
+	// MaxLevel caps the sampling levels (0 => 40).
+	MaxLevel int
+}
 
 // MinCutResult is a min-cut approximation outcome.
-type MinCutResult = mincut.Result
+type MinCutResult = resident.MinCutResult
 
-// ApproxMinCut runs the O(log n)-approximate min-cut (Theorem 3).
+// ApproxMinCut runs the O(log n)-approximate min-cut (Theorem 3) on a
+// fresh resident cluster: every sampling trial is a connectivity run
+// under the one vertex partition the load drew.
 //
-// One-shot: builds a fresh cluster per connectivity run. For repeated
+// One-shot: loads, runs and tears down a cluster per call. For repeated
 // questions on one graph, use NewCluster and Cluster.ApproxMinCut.
 func ApproxMinCut(g *Graph, cfg MinCutConfig) (*MinCutResult, error) {
-	return mincut.Approximate(g, cfg)
+	return oneShot(g, cfg.Config, func(ctx context.Context, e *resident.Engine) (*MinCutResult, error) {
+		return e.MinCut(ctx, cfg.Trials, cfg.MaxLevel)
+	})
 }
 
 // VerifyOutcome is a verification verdict with cost accounting.
-type VerifyOutcome = verify.Outcome
+type VerifyOutcome = resident.VerifyOutcome
 
-// Verification problems (Theorem 4). One-shot: each call builds a fresh
-// cluster per connectivity run; Cluster.Verify serves the same problems
-// against a residency.
-var (
-	// VerifySpanningConnectedSubgraph checks whether H spans G and is
-	// connected.
-	VerifySpanningConnectedSubgraph = verify.SpanningConnectedSubgraph
-	// VerifyCut checks whether removing the edges disconnects G further.
-	VerifyCut = verify.Cut
-	// VerifySTConnectivity checks whether s and t are connected.
-	VerifySTConnectivity = verify.STConnectivity
-	// VerifyEdgeOnAllPaths checks whether e lies on every u-v path.
-	VerifyEdgeOnAllPaths = verify.EdgeOnAllPaths
-	// VerifySTCut checks whether the edge set separates s from t.
-	VerifySTCut = verify.STCut
-	// VerifyBipartiteness checks 2-colorability via the double cover.
-	VerifyBipartiteness = verify.Bipartiteness
-	// VerifyCycleContainment checks whether G has any cycle.
-	VerifyCycleContainment = verify.CycleContainment
-	// VerifyECycleContainment checks whether e lies on some cycle.
-	VerifyECycleContainment = verify.ECycleContainment
-)
+// Verification problems (Theorem 4). One-shot: each call loads a fresh
+// resident cluster, runs the problem's connectivity runs on it, and tears
+// it down; Cluster.Verify serves the same problems against a residency.
+
+// VerifySpanningConnectedSubgraph checks whether H spans G and is
+// connected.
+func VerifySpanningConnectedSubgraph(g *Graph, h []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemSpanningConnectedSubgraph, VerifyArgs{H: h})
+}
+
+// VerifyCut checks whether removing the edges disconnects G further.
+func VerifyCut(g *Graph, cut []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemCut, VerifyArgs{Cut: cut})
+}
+
+// VerifySTConnectivity checks whether s and t are connected.
+func VerifySTConnectivity(g *Graph, s, t int, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemSTConnectivity, VerifyArgs{S: s, T: t})
+}
+
+// VerifyEdgeOnAllPaths checks whether e lies on every u-v path.
+func VerifyEdgeOnAllPaths(g *Graph, u, v int, e Edge, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemEdgeOnAllPaths, VerifyArgs{S: u, T: v, E: e})
+}
+
+// VerifySTCut checks whether the edge set separates s from t.
+func VerifySTCut(g *Graph, s, t int, cut []Edge, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemSTCut, VerifyArgs{S: s, T: t, Cut: cut})
+}
+
+// VerifyBipartiteness checks 2-colorability via the double cover.
+func VerifyBipartiteness(g *Graph, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemBipartiteness, VerifyArgs{})
+}
+
+// VerifyCycleContainment checks whether G has any cycle.
+func VerifyCycleContainment(g *Graph, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemCycleContainment, VerifyArgs{})
+}
+
+// VerifyECycleContainment checks whether e lies on some cycle.
+func VerifyECycleContainment(g *Graph, e Edge, cfg Config) (*VerifyOutcome, error) {
+	return verifyOneShot(g, cfg, ProblemECycleContainment, VerifyArgs{E: e})
+}
+
+func verifyOneShot(g *Graph, cfg Config, p Problem, args VerifyArgs) (*VerifyOutcome, error) {
+	return oneShot(g, cfg, func(ctx context.Context, e *resident.Engine) (*VerifyOutcome, error) {
+		return e.Verify(ctx, p, args)
+	})
+}
+
+// oneShot loads g onto a fresh resident cluster under cfg, runs job on it,
+// and closes it. The result equals NewCluster(g, WithK(cfg.K),
+// WithSeed(cfg.Seed), ...) followed by the matching Cluster method;
+// cfg.MaxRounds caps the whole call, load included.
+// EdgeCheckSelection, CountComponents and PhaseHook shape a Connectivity
+// run only; a one-shot reduction rejects them rather than ignore them.
+func oneShot[T any](g *Graph, cfg Config, job func(context.Context, *resident.Engine) (T, error)) (T, error) {
+	var zero T
+	if cfg.EdgeCheckSelection || cfg.CountComponents || cfg.PhaseHook != nil {
+		return zero, fmt.Errorf("kmgraph: %w: EdgeCheckSelection, CountComponents and PhaseHook apply to Connectivity only", resident.ErrBadConfig)
+	}
+	e, err := resident.New(g, resident.Config{
+		K:                   cfg.K,
+		BandwidthBits:       cfg.BandwidthBits,
+		Seed:                cfg.Seed,
+		MaxPhasesPerQuery:   cfg.MaxPhases,
+		Sketch:              cfg.Sketch,
+		CollapseLevelWise:   cfg.CollapseLevelWise,
+		CoinMerge:           cfg.CoinMerge,
+		FaithfulRandomness:  cfg.FaithfulRandomness,
+		MessageOverheadBits: cfg.MessageOverheadBits,
+		MaxRounds:           cfg.MaxRounds,
+	})
+	if err != nil {
+		return zero, err
+	}
+	res, err := job(context.Background(), e)
+	if _, cerr := e.Close(); err == nil && cerr != nil {
+		return zero, cerr
+	}
+	return res, err
+}
 
 // BaselineConfig parameterizes the baseline algorithms.
 type BaselineConfig = baseline.Config
@@ -407,14 +482,14 @@ func RunLowerBound(inst DisjointnessInstance, cfg Config) (*LowerBoundResult, er
 // O(polylog n): 16·ceil(log2 n)² bits per round.
 func DefaultBandwidth(n int) int { return kmachine.Bandwidth(n) }
 
-// Experiment is one unit of the paper-reproduction harness (E1..E12).
+// Experiment is one unit of the paper-reproduction harness (E1..E13).
 type Experiment = experiments.Experiment
 
 // ExperimentParams controls harness runs.
 type ExperimentParams = experiments.Params
 
 // AllExperiments returns the full harness, one experiment per paper
-// table/figure/theorem (see DESIGN.md §4).
+// table/figure/theorem (see the catalog in EXPERIMENTS.md).
 func AllExperiments() []Experiment { return experiments.All() }
 
 // ExperimentByID returns a single experiment (e.g. "E1").

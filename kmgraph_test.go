@@ -3,7 +3,10 @@ package kmgraph
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
+
+	"kmgraph/internal/resident"
 )
 
 // Facade smoke tests: the public API end to end, the way a downstream
@@ -254,4 +257,97 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 	if DefaultBandwidth(1024) <= 0 {
 		t.Error("bandwidth")
 	}
+}
+
+// TestOneShotMatchesCluster pins the one-shot reductions to the resident
+// engine: ApproxMinCut and every Verify* equal a fresh NewCluster with
+// the same K and seed running the matching Cluster method — verdict or
+// estimate, runs, rounds and full Metrics — and knobs a reduction would
+// ignore are rejected as ErrBadConfig.
+func TestOneShotMatchesCluster(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{K: 4, Seed: 11}
+	g := RandomConnected(120, 300, 3)
+	tree, _ := MSTOracle(g)
+	edges := g.Edges()
+	probe := edges[0]
+	fresh := func(t *testing.T) *Cluster {
+		t.Helper()
+		c, err := NewCluster(g, WithK(cfg.K), WithSeed(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+
+	t.Run("mincut", func(t *testing.T) {
+		want, err := fresh(t).ApproxMinCut(ctx, WithTrials(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ApproxMinCut(g, MinCutConfig{Config: cfg, Trials: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("one-shot %+v, cluster %+v", got, want)
+		}
+	})
+
+	cases := []struct {
+		p       Problem
+		args    VerifyArgs
+		oneShot func() (*VerifyOutcome, error)
+	}{
+		{ProblemSpanningConnectedSubgraph, VerifyArgs{H: tree}, func() (*VerifyOutcome, error) {
+			return VerifySpanningConnectedSubgraph(g, tree, cfg)
+		}},
+		{ProblemCut, VerifyArgs{Cut: edges[:40]}, func() (*VerifyOutcome, error) {
+			return VerifyCut(g, edges[:40], cfg)
+		}},
+		{ProblemSTConnectivity, VerifyArgs{S: 0, T: 119}, func() (*VerifyOutcome, error) {
+			return VerifySTConnectivity(g, 0, 119, cfg)
+		}},
+		{ProblemEdgeOnAllPaths, VerifyArgs{S: probe.U, T: probe.V, E: probe}, func() (*VerifyOutcome, error) {
+			return VerifyEdgeOnAllPaths(g, probe.U, probe.V, probe, cfg)
+		}},
+		{ProblemSTCut, VerifyArgs{S: 0, T: 119, Cut: edges[:40]}, func() (*VerifyOutcome, error) {
+			return VerifySTCut(g, 0, 119, edges[:40], cfg)
+		}},
+		{ProblemBipartiteness, VerifyArgs{}, func() (*VerifyOutcome, error) {
+			return VerifyBipartiteness(g, cfg)
+		}},
+		{ProblemCycleContainment, VerifyArgs{}, func() (*VerifyOutcome, error) {
+			return VerifyCycleContainment(g, cfg)
+		}},
+		{ProblemECycleContainment, VerifyArgs{E: probe}, func() (*VerifyOutcome, error) {
+			return VerifyECycleContainment(g, probe, cfg)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.p.String(), func(t *testing.T) {
+			want, err := fresh(t).Verify(ctx, tc.p, tc.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.oneShot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("one-shot %+v, cluster %+v", got, want)
+			}
+		})
+	}
+
+	t.Run("bad-config", func(t *testing.T) {
+		if _, err := VerifyBipartiteness(Path(3), Config{K: 4}); !errors.Is(err, resident.ErrBadConfig) {
+			t.Errorf("K > n: error %v is not ErrBadConfig", err)
+		}
+		ec := Config{K: 4, Seed: 1, EdgeCheckSelection: true}
+		if _, err := ApproxMinCut(g, MinCutConfig{Config: ec}); !errors.Is(err, resident.ErrBadConfig) {
+			t.Errorf("EdgeCheckSelection: error %v is not ErrBadConfig", err)
+		}
+	})
 }
